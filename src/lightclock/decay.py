@@ -13,13 +13,15 @@ measured at rest dilates to ``tau_m = tau_s / gamma`` with
 ``gamma = sqrt(lam) <= 1``.  ``compare_frames`` confirms the dilation on
 seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 ``-tau * ln(1 - U)`` from a counter-based uniform stream (Philox keyed by
-the seed, sample index = stream position), so a run is bit-identical for a
-fixed (tau, samples, seed) no matter how many workers generate it.
+the seed, sample index = stream position) that fill threads, capped at the
+CPU count, write into one buffer, so a run is bit-identical for a fixed
+(tau, samples, seed) whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,7 +33,7 @@ DEFAULT_TAU_BOUND = 1e15
 FD_STEP_FACTOR = 1e-4
 OPERATOR_TOL = 1e-8
 
-# Philox emits 4 64-bit words per counter increment; chunk boundaries must
+# Philox emits 4 64-bit words per counter increment; span boundaries must
 # sit on whole counter blocks for splitting to be bitwise transparent.
 _PHILOX_BLOCK = 4
 _SEED_LIMIT = 2 ** 64
@@ -176,15 +178,12 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     finite-difference, the comparison relative.  Passing an explicit
     ``tau_m`` (e.g. ``tau_s * gamma``) turns this into a negative control.
     """
-    if tau_s <= 0:
-        raise ValueError(f"rest lifetime must be positive, got {tau_s}")
+    tau_dilated = dilated_lifetime(tau_s, p)  # rejects tau_s <= 0 and d != 0
     if t_probe < 0:
         raise ValueError(f"probe time must be nonnegative, got {t_probe}")
-    if p.d != 0:
-        raise ValueError("decay dilation requires d = 0")
     gamma = gamma_factor(p)
     if tau_m is None:
-        tau_m = tau_s / gamma
+        tau_m = tau_dilated
     t_m = t_probe / gamma
     h = step if step is not None else FD_STEP_FACTOR * tau_m
     nbar = lambda x: n0 * math.exp(-x / tau_m)
@@ -197,29 +196,28 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     return abs(lhs - rhs) <= tol * abs(lhs)
 
 
-def _keyed_uniforms(seed: int, n: int, workers: int) -> np.ndarray:
-    """Uniform [0, 1) doubles, sample i a pure function of (seed, i).
+def _keyed_lifetimes(tau: float, seed: int, n: int, workers: int) -> np.ndarray:
+    """Lifetimes ``-tau * ln(1 - U_i)``, U_i word i of the Philox stream of seed.
 
-    Sample i is word i of the Philox stream keyed by ``seed``.  Workers get
-    contiguous chunks whose boundaries sit on Philox counter blocks, so the
-    assembled array is bitwise independent of the worker count.
+    Up to ``min(workers, cpu_count)`` threads fill spans of one buffer that
+    start on Philox counter blocks, so the result is bitwise independent of
+    ``workers``; the transform then runs in place.
     """
-    raw = [round(i * n / workers) for i in range(workers + 1)]
-    bounds = sorted({min(n, _PHILOX_BLOCK * (b // _PHILOX_BLOCK)) for b in raw} | {0, n})
+    out = np.empty(n, dtype=np.float64)
+    threads = min(workers, os.cpu_count() or 1)
+    span = _PHILOX_BLOCK * -(-n // (threads * _PHILOX_BLOCK))
 
-    def chunk(span):
-        start, stop = span
+    def fill(start):
         bg = np.random.Philox(key=seed)
         bg.advance(start // _PHILOX_BLOCK)
-        return np.random.Generator(bg).random(stop - start, dtype=np.float64)
+        np.random.Generator(bg).random(out=out[start:start + span])
 
-    spans = list(zip(bounds, bounds[1:]))
-    if len(spans) == 1:
-        parts = [chunk(spans[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            parts = list(pool.map(chunk, spans))
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(0, n, span)))
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out *= -tau
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +249,7 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    uniforms = _keyed_uniforms(seed, sample_count, workers)
-    lifetimes = -tau * np.log1p(-uniforms)
+    lifetimes = _keyed_lifetimes(tau, seed, sample_count, workers)
     tau_hat = float(np.mean(lifetimes))
     return EnsembleRun(
         sample_count=sample_count,
@@ -309,15 +306,16 @@ def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,
     """
     gamma = gamma_factor(p)
     tau_m = dilated_lifetime(tau_s, p)
-    run_s = run_ensemble(tau_s, sample_count, seed, workers)
-    run_m = run_ensemble(tau_m, sample_count, seed ^ _FRAME_KEY_SALT, workers)
-    ratio = run_m.tau_hat / run_s.tau_hat
+    # keeping only the means frees each ensemble's lifetimes before the next
+    tau_hat_s = run_ensemble(tau_s, sample_count, seed, workers).tau_hat
+    tau_hat_m = run_ensemble(tau_m, sample_count, seed ^ _FRAME_KEY_SALT, workers).tau_hat
+    ratio = tau_hat_m / tau_hat_s
     expected = 1.0 / gamma
     sigma = ratio * math.sqrt(2.0 / sample_count)
     return FrameComparison(
         tau_s=tau_s, v=p.v, c=p.c,
         lam=lambda_factor(p), gamma=gamma, tau_m_analytic=tau_m,
-        tau_hat_s=run_s.tau_hat, tau_hat_m=run_m.tau_hat,
+        tau_hat_s=tau_hat_s, tau_hat_m=tau_hat_m,
         ratio=ratio, z_score=(ratio - expected) / sigma,
         samples=sample_count, seed=seed,
     )

@@ -28,7 +28,7 @@ zero tolerance.
 
 The module also carries the substratum velocity map
 ``w = (c/2) * ln((1 + v**2/c**2) / (1 - v**2/c**2))`` under which composed
-velocities add linearly, together with its monotone numeric inverse.  The
+velocities add linearly, together with its closed-form inverse.  The
 textbook hyperbolic-angle map ``(c/2) * ln((1 + v/c) / (1 - v/c))`` is
 exposed separately as ``standard_rapidity`` for comparison only.
 """
@@ -44,7 +44,6 @@ from .errors import FrameError, PoleError, SuperluminalError
 from .infinitesimals import DEFAULT_ORDER, TruncatedHyper, st
 
 IDENTITY_TOL = 1e-12
-_INVERSE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -138,11 +137,9 @@ def check_rejected_branch(eta) -> BranchDiagnostic:
     0 <= v + d < c.  At eta = 1 both branches coincide and nothing is
     rejected.
     """
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    root = _sqrt_exact_if_possible(1 - eta)
-    alpha = root
-    beta = -root / eta  # the symmetry constraint fixes beta = -alpha/eta
+    # the admissible branch negated; rejects eta outside (0, 1] likewise
+    admissible = solve_transform_coeffs(eta)
+    alpha, beta = -admissible.alpha, -admissible.beta
     ratio = -alpha
     return BranchDiagnostic(alpha=alpha, beta=beta, ratio=ratio,
                             rejected=bool(ratio < 0))
@@ -287,30 +284,21 @@ def standard_rapidity(v, c=1.0):
 
 
 def invert_nsppm_velocity(w, c=1.0):
-    """Monotone inverse of ``nsppm_velocity`` on the nonnegative branch.
+    """Inverse of ``nsppm_velocity`` on the nonnegative branch.
 
-    Bisection on [0, c*(1 - 1e-12)] down to a bracket of width 1e-12*c.
-    Values of ``w`` below zero or beyond the bracket's range are rejected.
+    Closed form ``v = c * sqrt(tanh(w / c))``, since
+    ``(1 + v**2/c**2) / (1 - v**2/c**2) = exp(2*w/c)``.  Negative or NaN
+    ``w`` is rejected, and so is any ``w`` whose ``tanh(w / c)`` rounds to 1
+    (above about ``w = 19.06 * c``), where ``v`` would reach ``c``.
     """
     if c <= 0:
         raise ValueError(f"light speed must be positive, got {c}")
-    if w < 0:
-        raise ValueError(f"w = {w} is negative; the map is nonnegative")
-    v_max = c * (1 - _INVERSE_MARGIN)
-    if w > nsppm_velocity(v_max, c):
+    if not w >= 0:
+        raise ValueError(f"w must be a nonnegative number, got {w}")
+    u = math.tanh(w / c)
+    if u == 1.0:
         raise ValueError(f"w = {w} beyond the invertible range at c = {c}")
-    lo, hi = 0.0, v_max
-    if w == 0:
-        return 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-12 * c:
-            break
-        mid = 0.5 * (lo + hi)
-        if nsppm_velocity(mid, c) < w:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return c * math.sqrt(u)
 
 
 def compose_velocities_additive_w(v1, v2, c=1.0):

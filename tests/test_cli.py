@@ -242,6 +242,25 @@ class TestHelpAndErrors:
         assert result.exit_code == 0
         assert "Usage" in result.output
 
+    @pytest.mark.parametrize("args, config", [
+        (["decay", "--tau-s", "1", "--v", "nan", "--format", "json"], None),
+        (["decay", "--tau-s", "1", "--c", "inf"], None),
+        (["radar", "--t1", "1", "--c", "nan"], None),
+        (["velmap", "--vmax", "0.5", "--c", "inf"], None),
+        (["radar", "--t1", "1"], '{"c": NaN}'),
+    ])
+    def test_non_finite_input_exits_2(self, runner, tmp_path, args, config):
+        env = {}
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(config)
+            env = {"LIGHTCLOCK_CONFIG": str(cfg)}
+        result = invoke(runner, args, env=env)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
     def test_malformed_flag_value_exits_2(self, runner):
         result = runner.invoke(main, ["radar", "--v", "abc", "--t1", "1"])
         assert result.exit_code == 2

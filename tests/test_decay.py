@@ -1,6 +1,7 @@
 """Tests for the decay law, operator checks, dilation and ensembles."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -211,6 +212,29 @@ class TestRunEnsemble:
         split = run_ensemble(1.0, 10_007, 99, workers=workers)
         assert np.array_equal(base.lifetimes, split.lifetimes)
         assert base.tau_hat == split.tau_hat
+
+    @pytest.mark.parametrize("workers", [1, 3, 10 ** 6])
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch, workers):
+        requested = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        base = run_ensemble(1.0, 1000, 0, workers=1)
+        monkeypatch.setattr("lightclock.decay.ThreadPoolExecutor", InlineExecutor)
+        capped = run_ensemble(1.0, 1000, 0, workers=workers)
+        assert requested and max(requested) <= min(workers, os.cpu_count() or 1)
+        assert np.array_equal(base.lifetimes, capped.lifetimes)
 
     def test_distinct_seeds_give_distinct_streams(self):
         a = run_ensemble(1.0, 100, 1)

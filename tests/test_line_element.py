@@ -388,12 +388,16 @@ class TestVelocityMaps:
         for v in (0.0, 0.1, 0.5, 0.9, 0.999):
             w = nsppm_velocity(v)
             assert invert_nsppm_velocity(w) == pytest.approx(v, abs=1e-10)
+        assert invert_nsppm_velocity(nsppm_velocity(0.6)) == \
+            pytest.approx(0.6, abs=1e-15)
 
     def test_inverse_domain_rejected(self):
         with pytest.raises(ValueError):
             invert_nsppm_velocity(-0.1)
         with pytest.raises(ValueError):
             invert_nsppm_velocity(1e9)
+        with pytest.raises(ValueError):
+            invert_nsppm_velocity(float("nan"))
 
 
 class TestComposeVelocities:
