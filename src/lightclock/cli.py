@@ -16,13 +16,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from numbers import Real
 from pathlib import Path
 
 import click
 
-from .decay import compare_frames
+from .decay import DEFAULT_TAU_BOUND, compare_frames
 from .errors import LightClockError
 from .line_element import (
     LineElementParams,
@@ -34,6 +35,7 @@ from .radar import Reflector, simulate_ping
 
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
+MAX_STEPS = 10 ** 6
 
 EXIT_OK = 0
 EXIT_PARAM = 2
@@ -42,7 +44,7 @@ EXIT_CERTIFICATION = 4
 
 
 def _check_finite(name: str, value: float) -> float:
-    """The one finiteness check of float flags and float config fields."""
+    """The one finiteness check of float flags, float config fields and CSV cells."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
@@ -54,31 +56,38 @@ class RunConfig:
 
     Documented ranges: ``c > 0``; ``2 <= order <= 12``;
     ``0 <= tolerance <= 1e-6``; ``tau_bound > 0``; ``format`` one of
-    ``csv``/``json``.  Unknown keys in a config file are rejected.
+    ``csv``/``json``; ``out`` a path string.  Unknown keys in a config file
+    are rejected, and so are values of the wrong JSON type.
     """
 
     c: float = 1.0
     order: int = 2
     tolerance: float = 1e-12
-    tau_bound: float = 1e15
+    tau_bound: float = DEFAULT_TAU_BOUND
     format: str = "csv"
     out: str | None = None
 
     def __post_init__(self):
         for name in ("c", "tolerance", "tau_bound"):
-            _check_finite(f"config: {name}", getattr(self, name))
+            value = getattr(self, name)
+            # bool is an int subclass, so JSON true would pass as 1
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            _check_finite(name, value)
+        if isinstance(self.order, bool) or not isinstance(self.order, int):
+            raise ValueError(f"order must be an integer, got {self.order!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string, got {self.out!r}")
         if self.c <= 0:
-            raise ValueError(f"config: c must be positive, got {self.c}")
+            raise ValueError(f"c must be positive, got {self.c}")
         if not 2 <= self.order <= 12:
-            raise ValueError(f"config: order must lie in 2..12, got {self.order}")
+            raise ValueError(f"order must lie in 2..12, got {self.order}")
         if not 0 <= self.tolerance <= 1e-6:
-            raise ValueError(
-                f"config: tolerance must lie in [0, 1e-6], got {self.tolerance}"
-            )
+            raise ValueError(f"tolerance must lie in [0, 1e-6], got {self.tolerance}")
         if self.tau_bound <= 0:
-            raise ValueError(f"config: tau_bound must be positive, got {self.tau_bound}")
+            raise ValueError(f"tau_bound must be positive, got {self.tau_bound}")
         if self.format not in ("csv", "json"):
-            raise ValueError(f"config: format must be csv or json, got {self.format!r}")
+            raise ValueError(f"format must be csv or json, got {self.format!r}")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -92,23 +101,12 @@ class RunConfig:
         return cls(**raw)
 
     @classmethod
-    def from_env(cls) -> "RunConfig":
+    def from_env(cls, **flags) -> "RunConfig":
+        """The config file (validated alone, so a bad value fails even where a
+        flag overrides it), then every flag given, under the same checks."""
         path = os.environ.get(ENV_CONFIG)
-        if not path:
-            return cls()
-        return cls.from_file(path)
-
-
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _config_or_fail() -> RunConfig:
-    try:
-        return RunConfig.from_env()
-    except (OSError, ValueError) as exc:
-        _fail(EXIT_PARAM, str(exc))
+        base = cls.from_file(path) if path else cls()
+        return replace(base, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,11 +117,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cell(value) -> str:
-    """One CSV cell: shortest round-trip form for floats, empty for None."""
+    """One CSV cell: shortest round-trip form of a finite float, empty for None."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(_check_finite("every CSV value", value))
     return str(value)
 
 
@@ -138,13 +136,10 @@ def _json_text(obj) -> str:
 
 
 class _FiniteFloat(click.types.FloatParamType):
-    """Float flag type; NaN and infinities exit 2 with one error line."""
+    """Float flag type; NaN and infinities are rejected like any bad input."""
 
     def convert(self, value, param, ctx):
-        try:
-            return _check_finite(param.opts[0], super().convert(value, param, ctx))
-        except ValueError as exc:
-            _fail(EXIT_PARAM, str(exc))
+        return _check_finite(param.opts[0], super().convert(value, param, ctx))
 
 
 FINITE_FLOAT = _FiniteFloat()
@@ -152,12 +147,35 @@ FINITE_FLOAT = _FiniteFloat()
 
 def _parse_rational(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        _fail(EXIT_PARAM, f"{name} must be a number (decimal or p/q), got {text!r}")
+        value = Fraction(text)
+        float(value)  # every report field is a float
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{name} must be a finite number (decimal or p/q), "
+                         f"got {text!r}") from None
+    return value
 
 
-@click.group()
+class _Main(click.Group):
+    """The one place where a rejected input becomes exit 2 and one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (LightClockError, ValueError, OverflowError, OSError,
+                MemoryError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_PARAM)
+
+
+_c_option = click.option("--c", type=FINITE_FLOAT,
+                         help="Local light speed [config c, default 1].")
+_format_option = click.option("--format", type=click.Choice(["csv", "json"]),
+                              help="Output format [config format, default csv].")
+_out_option = click.option("--out", type=click.Path(dir_okay=False),
+                           help="Write output to this path instead of stdout.")
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="lightclock")
 def main():
     """Light-clock kinematics toolkit.
@@ -177,59 +195,47 @@ def main():
               help="Reflector velocity; |v| must stay below c.")
 @click.option("--t1", "t1s", type=FINITE_FLOAT, multiple=True,
               help="Emission time of one ping; repeat for several pings.")
-@click.option("--c", "c_flag", type=FINITE_FLOAT, default=None,
-              help="Local light speed [config c, default 1].")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
-              help="Output format [config format, default csv].")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write output to this path instead of stdout.")
-def radar(x0, v, t1s, c_flag, fmt, out):
+@_c_option
+@_format_option
+@_out_option
+def radar(x0, v, t1s, **flags):
     """Ping a uniformly moving reflector and print Einstein measures."""
-    cfg = _config_or_fail()
-    c = c_flag if c_flag is not None else cfg.c
+    cfg = RunConfig.from_env(**flags)
     if not t1s:
-        _fail(EXIT_PARAM, "at least one --t1 emission time is required")
-    records = []
-    try:
-        for t1 in t1s:
-            records.append(simulate_ping(Reflector(x0=x0, v=v), t1, c))
-    except (LightClockError, ValueError) as exc:
-        _fail(EXIT_PARAM, str(exc))
-    if (fmt or cfg.format) == "json":
+        raise ValueError("at least one --t1 emission time is required")
+    records = [simulate_ping(Reflector(x0=x0, v=v), t1, cfg.c) for t1 in t1s]
+    if cfg.format == "json":
         payload = [
             {"t1": r.t1, "t3": r.t3, "c": r.c, "tE": r.t_E, "rE": r.r_E, "vE": r.v_E}
             for r in records
         ]
-        _emit(_json_text(payload), out or cfg.out)
+        _emit(_json_text(payload), cfg.out)
     else:
         rows = [[r.t1, r.t3, r.c, r.t_E, r.r_E, r.v_E] for r in records]
-        _emit(_csv(["t1", "t3", "c", "tE", "rE", "vE"], rows), out or cfg.out)
+        _emit(_csv(["t1", "t3", "c", "tE", "rE", "vE"], rows), cfg.out)
 
 
 @main.command()
 @click.option("--v", required=True, help="Primary velocity.")
 @click.option("--d", default="0", show_default=True, help="Secondary velocity term.")
-@click.option("--c", "c_flag", default=None,
-              help="Local light speed [config c, default 1].")
+@click.option("--c", default=None, help="Local light speed [config c, default 1].")
 @click.option("--exact", is_flag=True,
               help="Certify over exact rationals at zero tolerance.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Write the JSON report to this path instead of stdout.")
-def derive(v, d, c_flag, exact, out):
+def derive(v, d, c, exact, out):
     """Certify the line-element derivation chain at one (v, d, c)."""
-    cfg = _config_or_fail()
     v_q = _parse_rational(v, "--v")
     d_q = _parse_rational(d, "--d")
-    c_q = _parse_rational(c_flag, "--c") if c_flag is not None else Fraction(cfg.c)
-    try:
-        if exact:
-            report = certify_derivation(v_q, d_q, c_q, order=cfg.order, exact=True)
-        else:
-            report = certify_derivation(float(v_q), float(d_q), float(c_q),
-                                        order=cfg.order, tol=cfg.tolerance)
-    except (LightClockError, ValueError) as exc:
-        _fail(EXIT_PARAM, str(exc))
-    _emit(_json_text(report.as_dict()), out or cfg.out)
+    c_flag = _parse_rational(c, "--c") if c is not None else None
+    cfg = RunConfig.from_env(c=c_flag, out=out)
+    c_q = Fraction(cfg.c)
+    if exact:
+        report = certify_derivation(v_q, d_q, c_q, order=cfg.order, exact=True)
+    else:
+        report = certify_derivation(float(v_q), float(d_q), float(c_q),
+                                    order=cfg.order, tol=cfg.tolerance)
+    _emit(_json_text(report.as_dict()), cfg.out)
     if not report.passed:
         sys.exit(EXIT_CERTIFICATION)
 
@@ -239,8 +245,7 @@ def derive(v, d, c_flag, exact, out):
               help="Rest-frame mean lifetime.")
 @click.option("--v", type=FINITE_FLOAT, default=0.0, show_default=True,
               help="Relative velocity of the decaying source.")
-@click.option("--c", "c_flag", type=FINITE_FLOAT, default=None,
-              help="Local light speed [config c, default 1].")
+@_c_option
 @click.option("--samples", type=int, default=100_000, show_default=True,
               help="Lifetimes drawn per frame.")
 @click.option("--seed", type=int, default=0, show_default=True,
@@ -248,27 +253,20 @@ def derive(v, d, c_flag, exact, out):
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Fill threads, capped at the CPU count; the report is "
                    "identical for any value.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None,
-              help="Output format [config format, default csv].")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write output to this path instead of stdout.")
-def decay(tau_s, v, c_flag, samples, seed, workers, fmt, out):
+@_format_option
+@_out_option
+def decay(tau_s, v, samples, seed, workers, **flags):
     """Compare rest- and moving-frame decay ensembles against 1/gamma."""
-    cfg = _config_or_fail()
-    c = c_flag if c_flag is not None else cfg.c
+    cfg = RunConfig.from_env(**flags)
     if not 0 < tau_s <= cfg.tau_bound:
-        _fail(EXIT_PARAM,
-              f"--tau-s must lie in (0, {cfg.tau_bound}], got {tau_s}")
-    try:
-        params = LineElementParams(v=v, d=0.0, c=c)
-        comparison = compare_frames(tau_s, params, samples, seed, workers=workers)
-    except (LightClockError, ValueError) as exc:
-        _fail(EXIT_PARAM, str(exc))
+        raise ValueError(f"--tau-s must lie in (0, {cfg.tau_bound}], got {tau_s}")
+    params = LineElementParams(v=v, d=0.0, c=cfg.c)
+    comparison = compare_frames(tau_s, params, samples, seed, workers=workers)
     report = comparison.as_dict()
-    if (fmt or cfg.format) == "json":
-        _emit(_json_text(report), out or cfg.out)
+    if cfg.format == "json":
+        _emit(_json_text(report), cfg.out)
     else:
-        _emit(_csv(list(report), [list(report.values())]), out or cfg.out)
+        _emit(_csv(list(report), [list(report.values())]), cfg.out)
     if not abs(comparison.z_score) <= Z_GATE:
         sys.exit(EXIT_STATISTICAL)
 
@@ -277,32 +275,27 @@ def decay(tau_s, v, c_flag, samples, seed, workers, fmt, out):
 @click.option("--vmax", type=FINITE_FLOAT, required=True,
               help="Largest tabulated velocity; must stay below c.")
 @click.option("--steps", type=int, default=100, show_default=True,
-              help="Number of equal increments from 0 to vmax.")
-@click.option("--c", "c_flag", type=FINITE_FLOAT, default=None,
-              help="Local light speed [config c, default 1].")
+              help=f"Number of equal increments from 0 to vmax, 1..{MAX_STEPS}.")
+@_c_option
 @click.option("--alternate", is_flag=True,
               help="Add the textbook hyperbolic-angle column for comparison.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write output to this path instead of stdout.")
-def velmap(vmax, steps, c_flag, alternate, out):
+@_out_option
+def velmap(vmax, steps, alternate, **flags):
     """Tabulate the substratum velocity map w(v) as CSV."""
-    cfg = _config_or_fail()
-    c = c_flag if c_flag is not None else cfg.c
-    if c <= 0:
-        _fail(EXIT_PARAM, f"light speed must be positive, got {c}")
-    if not 0 <= vmax < c:
-        _fail(EXIT_PARAM, f"--vmax must lie in [0, c), got {vmax} with c = {c}")
-    if steps < 1:
-        _fail(EXIT_PARAM, f"--steps must be at least 1, got {steps}")
+    cfg = RunConfig.from_env(**flags)
+    if not 0 <= vmax < cfg.c:
+        raise ValueError(f"--vmax must lie in [0, c), got {vmax} with c = {cfg.c}")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"--steps must lie in 1..{MAX_STEPS}, got {steps}")
     header = ["v", "w"] + (["w_alt"] if alternate else [])
     rows = []
     for i in range(steps + 1):
         vi = vmax * i / steps
-        row = [vi, nsppm_velocity(vi, c)]
+        row = [vi, nsppm_velocity(vi, cfg.c)]
         if alternate:
-            row.append(standard_rapidity(vi, c))
+            row.append(standard_rapidity(vi, cfg.c))
         rows.append(row)
-    _emit(_csv(header, rows), out or cfg.out)
+    _emit(_csv(header, rows), cfg.out)
 
 
 if __name__ == "__main__":

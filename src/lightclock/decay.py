@@ -302,13 +302,15 @@ def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,
     uses a salted key derived from it, so the two streams are independent
     and the z-score of ``ratio - 1/gamma`` is meaningful.  The combined
     standard error of the ratio uses the 1/sqrt(M) relative error of each
-    sample mean.
+    sample mean.  A mean that underflows to 0 is rejected.
     """
     gamma = gamma_factor(p)
     tau_m = dilated_lifetime(tau_s, p)
     # keeping only the means frees each ensemble's lifetimes before the next
     tau_hat_s = run_ensemble(tau_s, sample_count, seed, workers).tau_hat
     tau_hat_m = run_ensemble(tau_m, sample_count, seed ^ _FRAME_KEY_SALT, workers).tau_hat
+    if tau_hat_s == 0 or tau_hat_m == 0:
+        raise ValueError(f"tau_s={tau_s} is too small: an ensemble mean underflowed to 0")
     ratio = tau_hat_m / tau_hat_s
     expected = 1.0 / gamma
     sigma = ratio * math.sqrt(2.0 / sample_count)

@@ -17,6 +17,7 @@ two pings rather than from a single ``v_E``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -86,7 +87,8 @@ class RadarRecord:
     """One radar exchange and its Einstein measures.
 
     ``v_E`` is ``None`` when ``t_E == 0`` (the single-ping velocity is then
-    undefined).  A zero-range echo forces ``t_E == t3``.
+    undefined).  A zero-range echo forces ``t_E == t3``.  Measures that
+    overflow the float range are rejected.
     """
 
     t1: float
@@ -99,6 +101,9 @@ class RadarRecord:
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError(f"light speed must be positive, got {self.c}")
+        if not all(map(math.isfinite, (self.t3, self.t_E, self.r_E))):
+            raise GeometryError(f"radar measures overflow: t3={self.t3}, "
+                                f"t_E={self.t_E}, r_E={self.r_E}")
         if self.t3 < self.t1:
             raise CausalityError(f"reception t3={self.t3} precedes emission t1={self.t1}")
 

@@ -19,6 +19,14 @@ def invoke(runner, args, env=None):
     return runner.invoke(main, args, env=env or {}, catch_exceptions=False)
 
 
+def assert_rejected(result):
+    """Exit 2, nothing on stdout and exactly one error line on stderr."""
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
 class TestRadarCommand:
     def test_two_pings_csv(self, runner):
         result = invoke(runner, ["radar", "--x0", "0", "--v", "0.5",
@@ -248,6 +256,20 @@ class TestHelpAndErrors:
         (["radar", "--t1", "1", "--c", "nan"], None),
         (["velmap", "--vmax", "0.5", "--c", "inf"], None),
         (["radar", "--t1", "1"], '{"c": NaN}'),
+        (["velmap", "--vmax", "0.5"], '{"c": "2"}'),
+        (["velmap", "--vmax", "0.5"], '{"order": "3"}'),
+        (["velmap", "--vmax", "0.5"], '{"out": 5}'),
+        # a bad config value fails even where a flag overrides it
+        (["velmap", "--vmax", "0.5", "--c", "1"], '{"c": true}'),
+        (["derive", "--v", "1e400"], None),
+        (["velmap", "--vmax", "0.5", "--out", "{tmp}/missing/x.csv"], None),
+        (["radar", "--x0", "1e308", "--t1", "1"], None),
+        (["radar", "--x0", "1e308", "--t1", "1", "--format", "json"], None),
+        # every lifetime underflows to 0 at this seed
+        (["decay", "--tau-s", "5e-324", "--samples", "1", "--seed", "0"], None),
+        (["velmap", "--vmax", "0.5", "--steps", "1000001"], None),
+        # w exceeds the float range although vmax < c
+        (["velmap", "--vmax", "1.69e308", "--c", "1.7e308", "--steps", "1"], None),
     ])
     def test_non_finite_input_exits_2(self, runner, tmp_path, args, config):
         env = {}
@@ -255,11 +277,18 @@ class TestHelpAndErrors:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(config)
             env = {"LIGHTCLOCK_CONFIG": str(cfg)}
-        result = invoke(runner, args, env=env)
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr.startswith("error: ")
-        assert result.stderr.count("\n") == 1
+        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+        assert_rejected(invoke(runner, args, env=env))
+
+    def test_unallocatable_ensemble_exits_2(self, runner, monkeypatch):
+        # a host that overcommits memory would accept the real 7.28 TiB
+        # buffer and then run out of memory filling it, so never allocate
+        def refuse(tau, seed, n, workers):
+            raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+        monkeypatch.setattr("lightclock.decay._keyed_lifetimes", refuse)
+        assert_rejected(invoke(runner, ["decay", "--tau-s", "1",
+                                        "--samples", "1000000000000"]))
 
     def test_malformed_flag_value_exits_2(self, runner):
         result = runner.invoke(main, ["radar", "--v", "abc", "--t1", "1"])
