@@ -23,7 +23,6 @@ from .errors import (
     OutOfGridError,
     PoleError,
     SuperluminalError,
-    UnitMismatchError,
 )
 from .infinitesimals import (
     GridApprox,
@@ -48,18 +47,14 @@ from .line_element import (
     line_element_m,
     line_element_s,
     nsppm_velocity,
-    photon_galilean_split,
     solve_transform_coeffs,
     standard_rapidity,
-    time_dilation_relation,
     transform_differentials,
     velocity_ratio,
 )
 from .radar import (
-    ClockState,
     RadarRecord,
     Reflector,
-    clock_elapsed,
     einstein_measures,
     radar_velocity,
     simulate_ping,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .line_element import LineElementParams, gamma_factor, lambda_factor
+from .line_element import LineElementParams, gamma_factor, lambda_factor, report_dict
 
 DEFAULT_TAU_BOUND = 1e15
 FD_STEP_FACTOR = 1e-4
@@ -278,20 +278,7 @@ class FrameComparison:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "tau_s": self.tau_s,
-            "v": self.v,
-            "c": self.c,
-            "lambda": self.lam,
-            "gamma": self.gamma,
-            "tau_m_analytic": self.tau_m_analytic,
-            "tau_hat_s": self.tau_hat_s,
-            "tau_hat_m": self.tau_hat_m,
-            "ratio": self.ratio,
-            "z_score": self.z_score,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
+        return report_dict(self, lam="lambda")
 
 
 def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,

@@ -18,11 +18,7 @@ class SuperluminalError(LightClockError, ValueError):
 
 
 class CausalityError(LightClockError, ValueError):
-    """Reception before emission, or a clock count running backwards."""
-
-
-class UnitMismatchError(LightClockError, ValueError):
-    """Comparison between clocks with different tick durations."""
+    """Radar reception before emission."""
 
 
 class GeometryError(LightClockError, ValueError):

@@ -79,14 +79,6 @@ class TruncatedHyper:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def standard_part(self):
-        return self.coeffs[0]
-
-    @property
-    def is_pure_infinitesimal(self) -> bool:
-        return self.coeffs[0] == 0
-
     def __add__(self, other):
         if not isinstance(other, TruncatedHyper):
             return NotImplemented

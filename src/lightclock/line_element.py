@@ -12,17 +12,17 @@ and a linear infinitesimal transformation of moving-frame differentials
 whose coefficients are fixed by two requirements: the quadratic expansion
 of dS**2 must be symmetric under time reversal (the cross term in
 dr_m * dT_m vanishes), and a co-moving point (dr_m/dT_m = 0) must be seen
-from the s-frame with the forward velocity ratio (v + d)/c.  Writing
-eta = 1 - (v + d)**2 / c**2 the admissible branch is
+from the s-frame with the forward velocity ratio s = (v + d)/c.  Writing
+eta = 1 - s**2 the admissible branch is
 
-    alpha = -sqrt(1 - eta),     beta = sqrt(1 - eta) / eta,
+    alpha = -s,     beta = s / eta,
 
 and substitution back into the interval gives the dilated form
 
     dS**2 = lam * (c*dt_m)**2 - (1/lam) * dr_m**2,     lam = eta.
 
-With all inputs rational the whole chain closes over exact rationals
-(1 - eta is then automatically a perfect square), which is what
+The chain is built from s alone, with no square root, so rational inputs
+keep it over exact rationals, which is what
 ``certify_derivation(..., exact=True)`` exploits to check the identities at
 zero tolerance.
 
@@ -36,9 +36,8 @@ exposed separately as ``standard_rapidity`` for comparison only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from numbers import Rational
 
 from .errors import FrameError, PoleError, SuperluminalError
 from .infinitesimals import DEFAULT_ORDER, TruncatedHyper, st
@@ -48,11 +47,11 @@ IDENTITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LineElementParams:
-    """Velocity parameters (v, d, c) with 0 <= v + d < c.
+    """Velocity parameters (v, d, c) with 0 <= v + d < c < inf.
 
-    ``d`` is the secondary velocity term; it is zero everywhere in the
-    decay paths.  Rational inputs are kept as-is so derived quantities stay
-    exact.
+    The one domain check of the derivation chain; NaN fails it.  ``d`` is
+    the secondary velocity term; it is zero everywhere in the decay paths.
+    Rational inputs are kept as-is so derived quantities stay exact.
     """
 
     v: float
@@ -60,14 +59,13 @@ class LineElementParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"light speed must be positive, got {self.c}")
+        # negated comparisons, so NaN fails each check it reaches
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"light speed must be positive and finite, got {self.c}")
         total = self.v + self.d
-        if total < 0:
-            raise ValueError(
-                f"v + d = {total} is negative; only 0 <= v + d < c is admissible"
-            )
-        if total >= self.c:
+        if not 0 <= total:
+            raise ValueError(f"v + d = {total} is outside 0 <= v + d < c")
+        if not total < self.c:
             raise SuperluminalError(f"v + d = {total} >= c = {self.c}")
 
 
@@ -82,40 +80,26 @@ def gamma_factor(p: LineElementParams) -> float:
     return math.sqrt(lambda_factor(p))
 
 
-def _sqrt_exact_if_possible(x):
-    """Square root that stays rational for perfect-square rational input."""
-    if x < 0:
-        raise ValueError(f"square root of negative value {x}")
-    if isinstance(x, Rational):
-        frac = Fraction(x)
-        rn = math.isqrt(frac.numerator)
-        rd = math.isqrt(frac.denominator)
-        if rn * rn == frac.numerator and rd * rd == frac.denominator:
-            return Fraction(rn, rd)
-    return math.sqrt(x)
-
-
 @dataclass(frozen=True)
 class TransformCoeffs:
-    """Coefficients (alpha, beta) of the admissible branch at a given eta."""
+    """Coefficients (alpha, beta) of the admissible branch, with their eta."""
 
     alpha: float
     beta: float
     eta: float
 
 
-def solve_transform_coeffs(eta) -> TransformCoeffs:
-    """Coefficients satisfying the time-symmetry constraint at ``eta``.
+def solve_transform_coeffs(p: LineElementParams) -> TransformCoeffs:
+    """Coefficients satisfying the time-symmetry constraint at ``p``.
 
-    Picks ``alpha = -sqrt(1 - eta)``, hence ``beta = sqrt(1 - eta) / eta``,
-    which zeroes the cross term ``2*(alpha + beta*(1 - alpha**2))``.  For
-    rational ``eta`` with ``1 - eta`` a perfect rational square the result
-    is exact; otherwise it is computed in floating point.
+    With the speed ratio ``s = (v + d)/c``, which is ``sqrt(1 - eta)``
+    identically, picks ``alpha = -s``, hence ``beta = s / eta``, which zeroes
+    the cross term ``2*(alpha + beta*(1 - alpha**2))``.  Rational parameters
+    give exact rational coefficients.
     """
-    if not 0 < eta <= 1:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    root = _sqrt_exact_if_possible(1 - eta)
-    return TransformCoeffs(alpha=-root, beta=root / eta, eta=eta)
+    s = (p.v + p.d) / p.c
+    eta = lambda_factor(p)
+    return TransformCoeffs(alpha=-s, beta=s / eta, eta=eta)
 
 
 @dataclass(frozen=True)
@@ -128,17 +112,15 @@ class BranchDiagnostic:
     rejected: bool
 
 
-def check_rejected_branch(eta) -> BranchDiagnostic:
-    """Evaluate ``alpha = +sqrt(1 - eta)`` and report its velocity ratio.
+def check_rejected_branch(p: LineElementParams) -> BranchDiagnostic:
+    """Evaluate the sign-flipped branch ``alpha = +s`` and report its ratio.
 
     For a co-moving point (dr_m/dT_m = 0) this branch yields
-    ``dr_s/dT_s = -sqrt(1 - eta)``, which is negative for every eta in
-    (0, 1) and therefore inconsistent with a forward velocity
-    0 <= v + d < c.  At eta = 1 both branches coincide and nothing is
-    rejected.
+    ``dr_s/dT_s = -s = -(v + d)/c``, which is negative for every forward
+    velocity 0 < v + d < c and therefore inconsistent with it.  At rest
+    both branches coincide and nothing is rejected.
     """
-    # the admissible branch negated; rejects eta outside (0, 1] likewise
-    admissible = solve_transform_coeffs(eta)
+    admissible = solve_transform_coeffs(p)
     alpha, beta = -admissible.alpha, -admissible.beta
     ratio = -alpha
     return BranchDiagnostic(alpha=alpha, beta=beta, ratio=ratio,
@@ -160,53 +142,33 @@ def expand_quadratic(alpha, beta):
     return one_minus_a2, cross, radial
 
 
-def photon_galilean_split(v, d, c, dts: TruncatedHyper):
-    """Split a photon's s-frame displacement by the Galilean law.
-
-    For a source moving at ``v + d`` the infinitesimal time step ``dts``
-    produces ``dR = (v + d) * dts`` of source travel and ``dT = c * dts``
-    of light travel, so ``((v + d) + c) * dts = dR + dT`` holds
-    coefficient-wise and the first-order quotient is ``(v + d) / c``.
-    """
-    if c <= 0:
-        raise ValueError(f"light speed must be positive, got {c}")
-    if not dts.is_pure_infinitesimal:
-        raise ValueError("dts must be a pure infinitesimal")
-    d_r = dts * (v + d)
-    d_t = dts * c
-    if dts.coeffs[1] == 0:
-        raise PoleError("ratio undefined for a vanishing first-order displacement")
-    ratio = d_r.coeffs[1] / d_t.coeffs[1]
-    return d_r, d_t, ratio
-
-
 def transform_differentials(coeffs: TransformCoeffs, drm: TruncatedHyper,
                             dTm: TruncatedHyper):
     """Map moving-frame differentials (dr_m, dT_m) to s-frame (dr_s, dT_s).
 
-    With the solved coefficients the transformation reads
+    With the solved coefficients and ``s = -alpha`` the transformation reads
 
-        dr_s = (1/eta) * dr_m + sqrt(1 - eta) * dT_m
-        dT_s = (sqrt(1 - eta)/eta) * dr_m + dT_m.
+        dr_s = (1/eta) * dr_m + s * dT_m
+        dT_s = (s/eta) * dr_m + dT_m.
     """
-    root = -coeffs.alpha  # sqrt(1 - eta), exact when alpha is exact
-    drs = drm / coeffs.eta + dTm * root
-    dTs = drm * (root / coeffs.eta) + dTm
+    s = -coeffs.alpha
+    drs = drm / coeffs.eta + dTm * s
+    dTs = drm * (s / coeffs.eta) + dTm
     return drs, dTs
 
 
 def velocity_ratio(coeffs: TransformCoeffs, drm_over_dTm):
     """s-frame velocity ratio dr_s/dT_s for a given moving-frame ratio.
 
-    ``((1/eta)*x + sqrt(1-eta)) / ((sqrt(1-eta)/eta)*x + 1)`` for
-    ``x = dr_m/dT_m``; at ``x = 0`` this is ``sqrt(1 - eta) = (v + d)/c``.
+    ``((1/eta)*x + s) / ((s/eta)*x + 1)`` for ``x = dr_m/dT_m`` and
+    ``s = -alpha``; at ``x = 0`` this is ``s = (v + d)/c``.
     """
-    root = -coeffs.alpha
+    s = -coeffs.alpha
     x = drm_over_dTm
-    denom = (root / coeffs.eta) * x + 1
+    denom = (s / coeffs.eta) * x + 1
     if denom == 0:
         raise PoleError(f"velocity ratio has a pole at dr_m/dT_m = {x}")
-    return (x / coeffs.eta + root) / denom
+    return (x / coeffs.eta + s) / denom
 
 
 @dataclass(frozen=True)
@@ -241,15 +203,6 @@ def line_element_m(d: Displacement, p: LineElementParams) -> TruncatedHyper:
     lam = lambda_factor(p)
     d_t = d.dt * p.c
     return d_t * d_t * lam - (d.dr * d.dr) / lam
-
-
-def time_dilation_relation(p: LineElementParams, dtm: TruncatedHyper) -> TruncatedHyper:
-    """s-frame tick for a given m-frame tick: ``dt_s = gamma * dt_m``.
-
-    Holds for pure time displacements (dr_s = dr_m = 0), where the two line
-    elements reduce to ``(c*dt_s)**2 = lam*(c*dt_m)**2``.
-    """
-    return dtm * gamma_factor(p)
 
 
 def nsppm_velocity(v, c=1.0):
@@ -311,6 +264,23 @@ def compose_velocities_additive_w(v1, v2, c=1.0):
     return invert_nsppm_velocity(total, c)
 
 
+def _json_value(value):
+    """A report field as JSON data: Fraction to float, tuple to float list."""
+    if isinstance(value, Fraction):
+        return float(value)
+    if isinstance(value, tuple):
+        return [float(x) for x in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
+
+
+def report_dict(report, **renames) -> dict:
+    """Every field of a report dataclass, in order, keyed by name or rename."""
+    return {renames.get(f.name, f.name): _json_value(getattr(report, f.name))
+            for f in fields(report)}
+
+
 def _relative_error(a, b) -> float:
     if a == b:
         return 0.0
@@ -348,27 +318,7 @@ class CertificationReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "v": float(self.v),
-            "d": float(self.d),
-            "c": float(self.c),
-            "exact": self.exact,
-            "order": self.order,
-            "eta": float(self.eta),
-            "alpha": float(self.alpha),
-            "beta": float(self.beta),
-            "coef_time": float(self.coef_time),
-            "coef_cross": float(self.coef_cross),
-            "coef_radial": float(self.coef_radial),
-            "lhs_coeffs": [float(x) for x in self.lhs_coeffs],
-            "rhs_coeffs": [float(x) for x in self.rhs_coeffs],
-            "lhs_eps2": float(self.lhs_eps2),
-            "rhs_eps2": float(self.rhs_eps2),
-            "eps2_rel_error": float(self.eps2_rel_error),
-            "rejected_branch_ratio": float(self.rejected_branch_ratio),
-            "checks": dict(self.checks),
-            "passed": self.passed,
-        }
+        return report_dict(self)
 
 
 def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
@@ -383,11 +333,12 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     * the transformed isotropic interval equals the dilated interval on a
       probe displacement (dr_m, dt_m) = (eps, 2*eps);
     * a co-moving point is seen with velocity ratio ``(v + d)/c``;
-    * the sign-flipped branch is inconsistent (negative ratio) for eta < 1.
+    * the sign-flipped branch is inconsistent (negative ratio) for
+      ``(v + d)/c > 0``.
 
     In ``exact`` mode the inputs are converted to ``Fraction`` and every
-    check is a zero-tolerance rational equality; ``1 - eta`` is a perfect
-    square by construction, so the whole chain stays rational.
+    check is a zero-tolerance rational equality; the coefficients are built
+    from the speed ratio ``(v + d)/c``, so the whole chain stays rational.
     """
     if order < 2:
         raise ValueError(f"truncation order must be at least 2, got {order}")
@@ -400,11 +351,8 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
         one = 1.0
 
     p = LineElementParams(v=v, d=d, c=c)
-    eta = lambda_factor(p)
-    # sqrt(1 - eta) is (v + d)/c identically; building alpha from the speed
-    # ratio instead of the square root keeps small speeds fully accurate
-    s = (v + d) / c
-    coeffs = TransformCoeffs(alpha=-s, beta=s / eta, eta=eta)
+    coeffs = solve_transform_coeffs(p)
+    eta = coeffs.eta
     coef_time, coef_cross, coef_radial = expand_quadratic(coeffs.alpha, coeffs.beta)
 
     drm = TruncatedHyper.infinitesimal(one, order=order)
@@ -416,7 +364,7 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     rhs_eps2 = rhs.coeffs[2]
     eps2_rel_error = _relative_error(lhs_eps2, rhs_eps2)
 
-    branch = check_rejected_branch(eta)
+    branch = check_rejected_branch(p)
     recovered = velocity_ratio(coeffs, 0 * one)
 
     checks = {
@@ -427,8 +375,10 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
         "line_elements_match": eps2_rel_error <= tol,
         "velocity_ratio_recovered":
             _relative_error(recovered, (v + d) / c) <= tol,
+        # keyed on s = -alpha > 0, not on eta < 1: in floats eta rounds to 1
+        # once s is below about 1e-8, and s can underflow to 0 while v + d > 0
         "rejected_branch_inconsistent":
-            branch.rejected if eta < 1 else branch.ratio == 0,
+            branch.rejected if coeffs.alpha < 0 else branch.ratio == 0,
     }
     return CertificationReport(
         v=v, d=d, c=c, exact=exact, order=order,

@@ -1,4 +1,4 @@
-"""Infinitesimal light-clocks and the radar measurement protocol.
+"""The radar measurement protocol and its Einstein measures.
 
 A stationary anchor point (the ``s``-point) measures a moving target (the
 ``m``-point) by radar: emit a light pulse at ``t1``, receive the reflection
@@ -18,68 +18,14 @@ two pings rather than from a single ``v_E``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import (
     CausalityError,
     DegeneratePairError,
     GeometryError,
     SuperluminalError,
-    UnitMismatchError,
 )
-from .infinitesimals import TruncatedHyper, st
-
-
-def _pure_epsilon() -> TruncatedHyper:
-    return TruncatedHyper.infinitesimal()
-
-
-@dataclass(frozen=True)
-class ClockState:
-    """Snapshot of an infinitesimal light-clock.
-
-    ``count`` ticks of exact rational duration ``tick_duration`` have
-    elapsed; the clock arm ``arm_length`` is a pure infinitesimal (its
-    standard part must be zero).
-    """
-
-    count: int
-    tick_duration: Fraction
-    arm_length: TruncatedHyper = field(default_factory=_pure_epsilon)
-
-    def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 0:
-            raise ValueError(f"count must be a nonnegative integer, got {self.count!r}")
-        u = Fraction(self.tick_duration)
-        if u <= 0:
-            raise ValueError(f"tick duration must be positive, got {u}")
-        object.__setattr__(self, "tick_duration", u)
-        if st(self.arm_length) != 0:
-            raise ValueError("clock arm must be a pure infinitesimal")
-
-    @property
-    def elapsed(self) -> Fraction:
-        """Exact elapsed time, count * tick_duration."""
-        return self.count * self.tick_duration
-
-
-def clock_elapsed(before: ClockState, after: ClockState) -> float:
-    """Standard part of the interval between two snapshots of one clock.
-
-    The tick count must not run backwards and both snapshots must share the
-    same tick duration.  The product is exact rational; only the final
-    conversion to float rounds.
-    """
-    if before.tick_duration != after.tick_duration:
-        raise UnitMismatchError(
-            f"tick durations differ: {before.tick_duration} vs {after.tick_duration}"
-        )
-    if after.count < before.count:
-        raise CausalityError(
-            f"clock ran backwards: {before.count} -> {after.count}"
-        )
-    return float(after.tick_duration * (after.count - before.count))
 
 
 @dataclass(frozen=True)
@@ -133,7 +79,8 @@ def simulate_ping(refl: Reflector, t1: float, c: float = 1.0) -> RadarRecord:
     The outbound pulse emitted at ``t1`` from the origin meets the worldline
     at ``t_r = (x0 + c*t1) / (c - v)``; the echo returns after a further
     ``x(t_r)/c``.  The reflector must be slower than light and strictly
-    ahead of the emitter (positive position) at the reflection event.
+    ahead of the emitter (positive position) at the reflection event, and
+    the closing speed ``c - v`` must not overflow the float range.
     """
     if c <= 0:
         raise ValueError(f"light speed must be positive, got {c}")
@@ -141,7 +88,10 @@ def simulate_ping(refl: Reflector, t1: float, c: float = 1.0) -> RadarRecord:
         raise SuperluminalError(
             f"|v|={abs(refl.v)} >= c={c}: no intercept with a superluminal reflector"
         )
-    t_r = (refl.x0 + c * t1) / (c - refl.v)
+    closing = c - refl.v
+    if not math.isfinite(closing):
+        raise GeometryError(f"closing speed c - v overflows at c={c}, v={refl.v}")
+    t_r = (refl.x0 + c * t1) / closing
     if t_r <= t1:
         raise GeometryError(
             f"reflector at x={refl.position(t1)} is not ahead of the emitter at t1={t1}"

@@ -80,14 +80,15 @@ def test_criterion_2_cross_term_and_rejected_branch():
     with criterion(2, "cross-term nullity and branch rejection"):
         pairs = random_rational_velocity_pairs(1000, seed=101)
         for v, d in pairs:
-            eta = lambda_factor(LineElementParams(v=float(v), d=float(d)))
-            tc = solve_transform_coeffs(eta)
+            p = LineElementParams(v=float(v), d=float(d))
+            eta = lambda_factor(p)
+            tc = solve_transform_coeffs(p)
             coef_t, cross, coef_r = expand_quadratic(tc.alpha, tc.beta)
             assert abs(cross) <= 1e-12
             assert abs(coef_t - eta) <= 1e-12 * eta
             assert abs(coef_r - (-1.0 / eta)) <= 1e-12 / eta
         for k in range(1, 1000):
-            diag = check_rejected_branch(k / 1000.0)
+            diag = check_rejected_branch(LineElementParams(v=k / 1000.0))
             assert diag.ratio < 0.0
             assert diag.rejected
 

@@ -99,6 +99,14 @@ class TestDeriveCommand:
         assert result.exit_code == 0
         assert json.loads(result.output)["eps2_rel_error"] == 0.0
 
+    def test_tiny_speed_keeps_rejected_branch_ratio(self, runner):
+        # eta rounds to 1 here; the ratio is built from (v + d)/c directly
+        result = invoke(runner, ["derive", "--v", "1e-9"])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["rejected_branch_ratio"] == -1e-9
+        assert report["passed"] is True
+
     def test_light_speed_boundary_exits_2(self, runner):
         result = invoke(runner, ["derive", "--v", "1.0"])
         assert result.exit_code == 2
@@ -270,6 +278,9 @@ class TestHelpAndErrors:
         (["velmap", "--vmax", "0.5", "--steps", "1000001"], None),
         # w exceeds the float range although vmax < c
         (["velmap", "--vmax", "1.69e308", "--c", "1.7e308", "--steps", "1"], None),
+        # c - v overflows although |v| < c
+        (["radar", "--x0", "1", "--v", "-1.7e308", "--c", "1.79e308", "--t1", "-1"],
+         None),
     ])
     def test_non_finite_input_exits_2(self, runner, tmp_path, args, config):
         env = {}

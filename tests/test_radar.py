@@ -1,6 +1,4 @@
-"""Tests for light-clock counters and the radar measurement protocol."""
-
-from fractions import Fraction
+"""Tests for the radar measurement protocol."""
 
 import pytest
 from hypothesis import given
@@ -11,53 +9,13 @@ from lightclock.errors import (
     DegeneratePairError,
     GeometryError,
     SuperluminalError,
-    UnitMismatchError,
 )
 from lightclock.radar import (
-    ClockState,
     Reflector,
-    clock_elapsed,
     einstein_measures,
     radar_velocity,
     simulate_ping,
 )
-
-
-class TestClockState:
-    def test_ten_ticks_of_a_tenth(self):
-        before = ClockState(count=0, tick_duration=Fraction(1, 10))
-        after = ClockState(count=10, tick_duration=Fraction(1, 10))
-        assert clock_elapsed(before, after) == 1.0
-
-    def test_empty_interval(self):
-        a = ClockState(count=5, tick_duration=Fraction(1))
-        assert clock_elapsed(a, a) == 0.0
-
-    def test_backwards_count_rejected(self):
-        before = ClockState(count=7, tick_duration=Fraction(1))
-        after = ClockState(count=3, tick_duration=Fraction(1))
-        with pytest.raises(CausalityError):
-            clock_elapsed(before, after)
-
-    def test_mismatched_tick_durations_rejected(self):
-        before = ClockState(count=0, tick_duration=Fraction(1, 10))
-        after = ClockState(count=1, tick_duration=Fraction(1, 100))
-        with pytest.raises(UnitMismatchError):
-            clock_elapsed(before, after)
-
-    def test_elapsed_is_exact_rational(self):
-        state = ClockState(count=3, tick_duration=Fraction(1, 3))
-        assert state.elapsed == 1
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ClockState(count=-1, tick_duration=Fraction(1))
-
-    def test_standard_arm_rejected(self):
-        from lightclock.infinitesimals import TruncatedHyper
-        with pytest.raises(ValueError):
-            ClockState(count=0, tick_duration=Fraction(1),
-                       arm_length=TruncatedHyper.constant(1.0))
 
 
 class TestEinsteinMeasures:
