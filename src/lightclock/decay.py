@@ -16,18 +16,23 @@ seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 the seed, sample index = stream position) that fill threads, capped at the
 CPU count, write into one buffer, so a run is bit-identical for a fixed
 (tau, samples, seed) whatever the number of workers.
+
+Only the ensemble fill imports numpy and the thread pool, on first call, so
+importing lightclock and the derive, radar and velmap commands never load
+them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .line_element import LineElementParams, gamma_factor, lambda_factor, report_dict
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TAU_BOUND = 1e15
 FD_STEP_FACTOR = 1e-4
@@ -40,6 +45,8 @@ _SEED_LIMIT = 2 ** 64
 # Odd 64-bit constant used to derive the moving-frame stream key from the
 # user seed, so the two ensembles in compare_frames are independent.
 _FRAME_KEY_SALT = 0x9E3779B97F4A7C15
+# bytes of one float64 lifetime in the ensemble buffer
+_SAMPLE_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,9 @@ class DecayModel:
     tau_bound: float = DEFAULT_TAU_BOUND
 
     def __post_init__(self):
-        if self.n0 <= 0:
-            raise ValueError(f"initial population must be positive, got {self.n0}")
+        # negated comparisons, so NaN fails each check it reaches
+        if not 0 < self.n0 < math.inf:
+            raise ValueError(f"initial population must be positive and finite, got {self.n0}")
         if not 0 < self.tau <= self.tau_bound:
             raise ValueError(
                 f"mean lifetime must lie in (0, {self.tau_bound}], got {self.tau}"
@@ -68,7 +76,7 @@ class DecayModel:
 
 def population(model: DecayModel, t: float) -> float:
     """Population ``N0 * exp(-t / tau)`` at time t >= 0."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     return model.n0 * math.exp(-t / model.tau)
 
@@ -157,8 +165,8 @@ def operator_check(sol: SeparableSolution, r: float, t: float,
 
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
     """Moving-frame mean lifetime ``tau_s / gamma``; never below ``tau_s``."""
-    if tau_s <= 0:
-        raise ValueError(f"rest lifetime must be positive, got {tau_s}")
+    if not 0 < tau_s < math.inf:
+        raise ValueError(f"rest lifetime must be positive and finite, got {tau_s}")
     if p.d != 0:
         raise ValueError("decay dilation requires d = 0")
     return tau_s / gamma_factor(p)
@@ -196,6 +204,14 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     return abs(lhs - rhs) <= tol * abs(lhs)
 
 
+def _physical_memory_bytes() -> int | None:
+    """Physical memory of the host, or None where ``os.sysconf`` cannot say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _keyed_lifetimes(tau: float, seed: int, n: int, workers: int) -> np.ndarray:
     """Lifetimes ``-tau * ln(1 - U_i)``, U_i word i of the Philox stream of seed.
 
@@ -203,6 +219,12 @@ def _keyed_lifetimes(tau: float, seed: int, n: int, workers: int) -> np.ndarray:
     start on Philox counter blocks, so the result is bitwise independent of
     ``workers``; the transform then runs in place.
     """
+    # imported here, the one place that needs them, to keep them off the
+    # start-up path of every other command
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     out = np.empty(n, dtype=np.float64)
     threads = min(workers, os.cpu_count() or 1)
     span = _PHILOX_BLOCK * -(-n // (threads * _PHILOX_BLOCK))
@@ -239,18 +261,26 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
     counter-based stream; the estimator is the sample mean (numpy's
     pairwise summation) with standard error ``tau_hat / sqrt(M)``.  Results
     are bit-identical for fixed (tau, sample_count, seed) regardless of
-    ``workers``.
+    ``workers``.  An ensemble whose buffer would exceed physical memory is
+    rejected before anything is allocated.
     """
-    if tau <= 0:
-        raise ValueError(f"mean lifetime must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"mean lifetime must be positive and finite, got {tau}")
     if sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    # refused before allocation: where memory is overcommitted, np.empty of
+    # this size would succeed and the fill would exhaust the host
+    needed = _SAMPLE_BYTES * sample_count
+    physical = _physical_memory_bytes()
+    if physical is not None and needed > physical:
+        raise ValueError(f"{sample_count} samples need {needed} bytes, more than "
+                         f"the {physical} bytes of physical memory")
     lifetimes = _keyed_lifetimes(tau, seed, sample_count, workers)
-    tau_hat = float(np.mean(lifetimes))
+    tau_hat = float(lifetimes.mean())
     return EnsembleRun(
         sample_count=sample_count,
         seed=seed,

@@ -148,6 +148,12 @@ class TestDecayCommand:
         result = invoke(runner, ["decay", "--tau-s", "1", "--samples", "0"])
         assert result.exit_code == 2
 
+    def test_samples_beyond_physical_memory_exit_2(self, runner, monkeypatch):
+        monkeypatch.setattr("lightclock.decay._physical_memory_bytes", lambda: 2 ** 20)
+        result = invoke(runner, ["decay", "--tau-s", "1", "--samples", "1000000"])
+        assert_rejected(result)
+        assert "physical memory" in result.stderr
+
     def test_byte_reproducible(self, runner):
         args = ["decay", "--tau-s", "1", "--v", "0.6", "--samples", "2000",
                 "--seed", "21", "--format", "json"]

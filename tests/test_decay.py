@@ -8,6 +8,7 @@ import pytest
 
 from lightclock.decay import (
     DecayModel,
+    _physical_memory_bytes,
     SeparableSolution,
     chain_rule_check,
     compare_frames,
@@ -38,8 +39,18 @@ class TestDecayModel:
     def test_custom_bound(self):
         assert DecayModel(n0=1.0, tau=1e16, tau_bound=1e17).tau == 1e16
 
+    @pytest.mark.parametrize("n0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_population_rejected(self, n0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DecayModel(n0=n0, tau=1.0)
+
 
 class TestPopulation:
+    @pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
+    def test_time_outside_domain_rejected(self, t):
+        with pytest.raises(ValueError, match="nonnegative"):
+            population(DecayModel(n0=1.0, tau=1.0), t)
+
     def test_initial_condition(self):
         assert population(DecayModel(n0=1.0, tau=1.0), 0.0) == 1.0
 
@@ -157,6 +168,11 @@ class TestDilatedLifetime:
         with pytest.raises(ValueError):
             dilated_lifetime(0.0, LineElementParams(v=0.3))
 
+    @pytest.mark.parametrize("tau_s", [math.nan, math.inf])
+    def test_non_finite_lifetime_rejected(self, tau_s):
+        with pytest.raises(ValueError, match="positive and finite"):
+            dilated_lifetime(tau_s, LineElementParams(v=0.3))
+
 
 class TestChainRuleCheck:
     def test_passes_for_dilated_lifetime(self):
@@ -178,6 +194,11 @@ class TestRunEnsemble:
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):
             run_ensemble(1.0, 0, 0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_lifetime_rejected(self, tau):
+        with pytest.raises(ValueError, match="mean lifetime"):
+            run_ensemble(tau, 10, 0)
 
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -231,10 +252,26 @@ class TestRunEnsemble:
                 return map(fn, items)
 
         base = run_ensemble(1.0, 1000, 0, workers=1)
-        monkeypatch.setattr("lightclock.decay.ThreadPoolExecutor", InlineExecutor)
+        # the fill imports the pool at call time, so patch it at its source
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
         capped = run_ensemble(1.0, 1000, 0, workers=workers)
         assert requested and max(requested) <= min(workers, os.cpu_count() or 1)
         assert np.array_equal(base.lifetimes, capped.lifetimes)
+
+    def test_ensemble_larger_than_physical_memory_rejected(self, monkeypatch):
+        monkeypatch.setattr("lightclock.decay._physical_memory_bytes", lambda: 2 ** 20)
+        with pytest.raises(ValueError, match=f"8000000 bytes, more than the {2 ** 20} bytes"):
+            run_ensemble(1.0, 10 ** 6, 0)
+        # the bound is inclusive: a buffer of exactly physical memory is allowed
+        assert run_ensemble(1.0, 2 ** 17, 0).lifetimes.nbytes == 2 ** 20
+
+    def test_memory_probe_absent_without_sysconf(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        assert _physical_memory_bytes() is None
+        assert run_ensemble(1.0, 10, 0).sample_count == 10
+
+    def test_memory_probe_reads_host(self):
+        assert _physical_memory_bytes() > 0
 
     def test_distinct_seeds_give_distinct_streams(self):
         a = run_ensemble(1.0, 100, 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st_
 
@@ -147,6 +148,16 @@ class TestExpandQuadratic:
         assert coef_t == pytest.approx(0.64, rel=1e-15)
         assert cross == pytest.approx(-1.2, rel=1e-15)
         assert coef_r == -1.0
+
+    def test_symbolic_certificate(self):
+        """Proof for all positive (v, d, c) of what the acceptance suite samples."""
+        v, d, c = sympy.symbols("v d c", positive=True)
+        s = (v + d) / c
+        eta = 1 - s ** 2
+        coef_t, cross, coef_r = expand_quadratic(-s, s / eta)
+        assert sympy.simplify(cross) == 0
+        assert sympy.simplify(coef_t - eta) == 0
+        assert sympy.simplify(coef_r + 1 / eta) == 0
 
 
 class TestTransformDifferentials:

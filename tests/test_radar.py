@@ -1,5 +1,7 @@
 """Tests for the radar measurement protocol."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st_
@@ -41,6 +43,11 @@ class TestEinsteinMeasures:
         with pytest.raises(ValueError):
             einstein_measures(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_light_speed_rejected_by_name(self, c):
+        with pytest.raises(ValueError, match="light speed must be positive and finite"):
+            einstein_measures(0.0, 1.0, c)
+
     def test_rederivation_is_idempotent(self):
         first = einstein_measures(0.7, 4.3, 2.0)
         second = einstein_measures(first.t1, first.t3, first.c)
@@ -67,6 +74,11 @@ class TestSimulatePing:
     def test_reflector_behind_emitter_rejected(self):
         with pytest.raises(GeometryError):
             simulate_ping(Reflector(x0=-1.0, v=0.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_light_speed_rejected_by_name(self, c):
+        with pytest.raises(ValueError, match="light speed must be positive and finite"):
+            simulate_ping(Reflector(x0=1.0, v=0.0), 0.0, c)
 
 
 class TestRadarVelocity:
