@@ -23,7 +23,7 @@ from pathlib import Path
 
 import click
 
-from .decay import DEFAULT_TAU_BOUND, compare_frames
+from .decay import DEFAULT_TAU_BOUND, MAX_SAMPLES, compare_frames
 from .errors import LightClockError
 from .line_element import (
     LineElementParams,
@@ -247,11 +247,12 @@ def derive(v, d, c, exact, out):
               help="Relative velocity of the decaying source.")
 @_c_option
 @click.option("--samples", type=int, default=100_000, show_default=True,
-              help="Lifetimes drawn per frame.")
+              help=f"Lifetimes drawn per frame, 1..{MAX_SAMPLES}.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Unsigned 64-bit seed of the counter-based stream.")
 @click.option("--workers", type=int, default=1, show_default=True,
-              help="Fill threads, capped at the CPU count; the report is "
+              help="Threads over fixed 2^20-sample blocks, capped at the CPU "
+                   "count; memory is O(threads x 8 MiB) and the report is "
                    "identical for any value.")
 @_format_option
 @_out_option

@@ -13,13 +13,15 @@ measured at rest dilates to ``tau_m = tau_s / gamma`` with
 ``gamma = sqrt(lam) <= 1``.  ``compare_frames`` confirms the dilation on
 seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 ``-tau * ln(1 - U)`` from a counter-based uniform stream (Philox keyed by
-the seed, sample index = stream position) that fill threads, capped at the
-CPU count, write into one buffer, so a run is bit-identical for a fixed
+the seed, sample index = stream position), streamed in blocks of at most
+``BLOCK`` samples, the leaves of numpy's pairwise summation tree.  Threads,
+capped at the CPU count and the block count, each hold one block at a time,
+so memory is O(threads * 8 MiB) and a run is bit-identical for a fixed
 (tau, samples, seed) whatever the number of workers.
 
-Only the ensemble fill imports numpy and the thread pool, on first call, so
-importing lightclock and the derive, radar and velmap commands never load
-them.
+Only the ensemble engine imports numpy, and the thread pool only when more
+than one thread runs, so importing lightclock and the derive, radar and
+velmap commands never load them.
 """
 
 from __future__ import annotations
@@ -38,15 +40,19 @@ DEFAULT_TAU_BOUND = 1e15
 FD_STEP_FACTOR = 1e-4
 OPERATOR_TOL = 1e-8
 
-# Philox emits 4 64-bit words per counter increment; span boundaries must
-# sit on whole counter blocks for splitting to be bitwise transparent.
+# Largest ensemble run_ensemble draws, the same on every host whatever its
+# memory: about 8.5 s per ensemble at two threads on a 2-CPU Xeon.
+MAX_SAMPLES = 10 ** 9
+# Leaf size of the streaming sum, in samples: a thread holds one leaf of
+# 8 * BLOCK bytes at a time, so memory is O(threads * 8 MiB) for any M.
+BLOCK = 2 ** 20
+# Philox emits 4 64-bit words per counter increment; leaf starts must sit
+# on whole counter blocks for Philox.advance to land on them.
 _PHILOX_BLOCK = 4
 _SEED_LIMIT = 2 ** 64
 # Odd 64-bit constant used to derive the moving-frame stream key from the
 # user seed, so the two ensembles in compare_frames are independent.
 _FRAME_KEY_SALT = 0x9E3779B97F4A7C15
-# bytes of one float64 lifetime in the ensemble buffer
-_SAMPLE_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -204,51 +210,62 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     return abs(lhs - rhs) <= tol * abs(lhs)
 
 
-def _physical_memory_bytes() -> int | None:
-    """Physical memory of the host, or None where ``os.sysconf`` cannot say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
+def _pairwise(lo: int, n: int, leaf):
+    """numpy's pairwise sum of items [lo, lo + n), ``leaf(start, size)`` per leaf.
 
-
-def _keyed_lifetimes(tau: float, seed: int, n: int, workers: int) -> np.ndarray:
-    """Lifetimes ``-tau * ln(1 - U_i)``, U_i word i of the Philox stream of seed.
-
-    Up to ``min(workers, cpu_count)`` threads fill spans of one buffer that
-    start on Philox counter blocks, so the result is bitwise independent of
-    ``workers``; the transform then runs in place.
+    numpy halves a contiguous float64 array at ``n//2 - (n//2) % 8``, so the
+    same split down to ``BLOCK`` items gives ``np.sum`` of it bit for bit,
+    and every leaf starts on a multiple of 8, a Philox counter block.
     """
-    # imported here, the one place that needs them, to keep them off the
-    # start-up path of every other command
-    from concurrent.futures import ThreadPoolExecutor
+    if n <= BLOCK:
+        return leaf(lo, n)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(lo, half, leaf) + _pairwise(lo + half, n - half, leaf)
 
+
+def _leaf_lifetimes(tau: float, seed: int, start: int, size: int) -> np.ndarray:
+    """Lifetimes ``-tau * ln(1 - U_i)`` for i in [start, start + size).
+
+    ``U_i`` is word i of the Philox stream keyed by seed; ``start`` must be
+    a multiple of 4, the words of one counter block.
+    """
+    # imported here, to keep numpy off the start-up path of every other command
     import numpy as np
 
-    out = np.empty(n, dtype=np.float64)
-    threads = min(workers, os.cpu_count() or 1)
-    span = _PHILOX_BLOCK * -(-n // (threads * _PHILOX_BLOCK))
-
-    def fill(start):
-        bg = np.random.Philox(key=seed)
-        bg.advance(start // _PHILOX_BLOCK)
-        np.random.Generator(bg).random(out=out[start:start + span])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range(0, n, span)))
+    bg = np.random.Philox(key=seed)
+    bg.advance(start // _PHILOX_BLOCK)
+    out = np.random.Generator(bg).random(size)
     np.negative(out, out=out)
     np.log1p(out, out=out)
     out *= -tau
     return out
 
 
-@dataclass(frozen=True, eq=False)
+def _keyed_sum(tau: float, seed: int, n: int, workers: int) -> float:
+    """Sum of the first n lifetimes of the stream, as ``np.sum`` of all gives.
+
+    ``min(workers, leaves, cpu_count)`` threads, and no pool for one.
+    """
+    def leaf_sum(lo, size):
+        return float(_leaf_lifetimes(tau, seed, lo, size).sum(initial=0.0))
+
+    leaves = _pairwise(0, n, lambda lo, size: [(lo, size)])
+    threads = min(workers, len(leaves), os.cpu_count() or 1)
+    if threads == 1:
+        return _pairwise(0, n, leaf_sum)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        sums = dict(zip(leaves, pool.map(lambda leaf: leaf_sum(*leaf), leaves)))
+    return _pairwise(0, n, lambda lo, size: sums[lo, size])
+
+
+@dataclass(frozen=True)
 class EnsembleRun:
     """One seeded ensemble of exponential lifetimes and its estimates."""
 
     sample_count: int
     seed: int
-    lifetimes: np.ndarray
     tau_hat: float
     stderr: float
 
@@ -258,33 +275,23 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
     """Draw ``sample_count`` exponential lifetimes with mean ``tau``.
 
     Lifetimes are ``-tau * ln(1 - U_i)`` with ``U_i`` from the keyed
-    counter-based stream; the estimator is the sample mean (numpy's
-    pairwise summation) with standard error ``tau_hat / sqrt(M)``.  Results
-    are bit-identical for fixed (tau, sample_count, seed) regardless of
-    ``workers``.  An ensemble whose buffer would exceed physical memory is
-    rejected before anything is allocated.
+    counter-based stream; the estimator is their ``np.mean``, bit for bit,
+    with standard error ``tau_hat / sqrt(M)``.  Results are bit-identical
+    for fixed (tau, sample_count, seed) regardless of ``workers``.  At most
+    ``MAX_SAMPLES`` lifetimes are drawn.
     """
     if not 0 < tau < math.inf:
         raise ValueError(f"mean lifetime must be positive and finite, got {tau}")
-    if sample_count < 1:
-        raise ValueError(f"sample count must be at least 1, got {sample_count}")
+    if not 1 <= sample_count <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {sample_count}")
     if not 0 <= seed < _SEED_LIMIT:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    # refused before allocation: where memory is overcommitted, np.empty of
-    # this size would succeed and the fill would exhaust the host
-    needed = _SAMPLE_BYTES * sample_count
-    physical = _physical_memory_bytes()
-    if physical is not None and needed > physical:
-        raise ValueError(f"{sample_count} samples need {needed} bytes, more than "
-                         f"the {physical} bytes of physical memory")
-    lifetimes = _keyed_lifetimes(tau, seed, sample_count, workers)
-    tau_hat = float(lifetimes.mean())
+    tau_hat = _keyed_sum(tau, seed, sample_count, workers) / sample_count
     return EnsembleRun(
         sample_count=sample_count,
         seed=seed,
-        lifetimes=lifetimes,
         tau_hat=tau_hat,
         stderr=tau_hat / math.sqrt(sample_count),
     )
@@ -323,7 +330,6 @@ def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,
     """
     gamma = gamma_factor(p)
     tau_m = dilated_lifetime(tau_s, p)
-    # keeping only the means frees each ensemble's lifetimes before the next
     tau_hat_s = run_ensemble(tau_s, sample_count, seed, workers).tau_hat
     tau_hat_m = run_ensemble(tau_m, sample_count, seed ^ _FRAME_KEY_SALT, workers).tau_hat
     if tau_hat_s == 0 or tau_hat_m == 0:

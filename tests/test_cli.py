@@ -148,11 +148,10 @@ class TestDecayCommand:
         result = invoke(runner, ["decay", "--tau-s", "1", "--samples", "0"])
         assert result.exit_code == 2
 
-    def test_samples_beyond_physical_memory_exit_2(self, runner, monkeypatch):
-        monkeypatch.setattr("lightclock.decay._physical_memory_bytes", lambda: 2 ** 20)
-        result = invoke(runner, ["decay", "--tau-s", "1", "--samples", "1000000"])
+    def test_samples_beyond_cap_exit_2(self, runner):
+        result = invoke(runner, ["decay", "--tau-s", "1", "--samples", "1000000001"])
         assert_rejected(result)
-        assert "physical memory" in result.stderr
+        assert "1..1000000000" in result.stderr
 
     def test_byte_reproducible(self, runner):
         args = ["decay", "--tau-s", "1", "--v", "0.6", "--samples", "2000",
@@ -297,13 +296,9 @@ class TestHelpAndErrors:
         args = [a.replace("{tmp}", str(tmp_path)) for a in args]
         assert_rejected(invoke(runner, args, env=env))
 
-    def test_unallocatable_ensemble_exits_2(self, runner, monkeypatch):
-        # a host that overcommits memory would accept the real 7.28 TiB
-        # buffer and then run out of memory filling it, so never allocate
-        def refuse(tau, seed, n, workers):
-            raise MemoryError(f"Unable to allocate {8 * n} bytes")
-
-        monkeypatch.setattr("lightclock.decay._keyed_lifetimes", refuse)
+    def test_unallocatable_ensemble_exits_2(self, runner):
+        # 10^12 samples, 7.28 TiB as one buffer: refused by the cap, on every
+        # host, before anything is drawn
         assert_rejected(invoke(runner, ["decay", "--tau-s", "1",
                                         "--samples", "1000000000000"]))
 

@@ -2,14 +2,17 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lightclock.decay import (
+    BLOCK,
+    MAX_SAMPLES,
     DecayModel,
-    _physical_memory_bytes,
     SeparableSolution,
+    _leaf_lifetimes,
     chain_rule_check,
     compare_frames,
     dilated_lifetime,
@@ -23,6 +26,17 @@ from lightclock.line_element import LineElementParams, gamma_factor
 
 # frozen mean of the (tau=3, M=1e5, seed=42) ensemble, recorded at first run
 GOLDEN_TAU3_M1E5_SEED42 = float.fromhex("0x1.7eb4638140712p+1")  # 2.9898800259696907
+
+
+def full_buffer_mean(tau, m, seed):
+    """The engine as it was before streaming: one Philox fill of all m
+    lifetimes into one buffer, in-place log1p, numpy's mean."""
+    out = np.empty(m)
+    np.random.Generator(np.random.Philox(key=seed)).random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out *= -tau
+    return float(out.mean())
 
 
 class TestDecayModel:
@@ -210,9 +224,12 @@ class TestRunEnsemble:
         seed = 7
         raw = np.random.Philox(key=seed).random_raw(1)
         u0 = (int(raw[0]) >> 11) * 2.0 ** -53
-        run = run_ensemble(1.0, 1, seed)
-        assert run.tau_hat == pytest.approx(-math.log1p(-u0), rel=1e-15)
-        assert run.lifetimes.shape == (1,)
+        assert run_ensemble(1.0, 1, seed).tau_hat == pytest.approx(-math.log1p(-u0), rel=1e-15)
+        assert _leaf_lifetimes(1.0, seed, 0, 1).tolist() == [-math.log1p(-u0)]
+
+    def test_leaf_starts_at_its_stream_position(self):
+        whole = _leaf_lifetimes(2.0, 5, 0, 64)
+        assert np.array_equal(_leaf_lifetimes(2.0, 5, 24, 40), whole[24:])
 
     def test_golden_value_frozen(self):
         run = run_ensemble(3.0, 100_000, 42)
@@ -224,15 +241,21 @@ class TestRunEnsemble:
         assert run.stderr == run.tau_hat / math.sqrt(100_000)
 
     def test_lifetimes_nonnegative(self):
-        run = run_ensemble(0.5, 1000, 3)
-        assert (run.lifetimes >= 0.0).all()
+        assert (_leaf_lifetimes(0.5, 3, 0, 1000) >= 0.0).all()
+        assert (_leaf_lifetimes(0.5, 3, BLOCK, 1000) >= 0.0).all()
+
+    @pytest.mark.parametrize("m", [1, 7, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10 ** 7])
+    def test_mean_equals_full_buffer_mean_bitwise(self, m):
+        expected = full_buffer_mean(3.0, m, 42)
+        for workers in (1, 2, 3):
+            assert run_ensemble(3.0, m, 42, workers=workers).tau_hat == expected
 
     @pytest.mark.parametrize("workers", [2, 3, 5, 8])
     def test_bitwise_identical_across_worker_counts(self, workers):
-        base = run_ensemble(1.0, 10_007, 99, workers=1)
-        split = run_ensemble(1.0, 10_007, 99, workers=workers)
-        assert np.array_equal(base.lifetimes, split.lifetimes)
-        assert base.tau_hat == split.tau_hat
+        for m in (10_007, 2 * BLOCK + 8):
+            base = run_ensemble(1.0, m, 99, workers=1)
+            split = run_ensemble(1.0, m, 99, workers=workers)
+            assert base == split
 
     @pytest.mark.parametrize("workers", [1, 3, 10 ** 6])
     def test_thread_count_capped_at_cpu_count(self, monkeypatch, workers):
@@ -251,32 +274,43 @@ class TestRunEnsemble:
             def map(self, fn, items):
                 return map(fn, items)
 
-        base = run_ensemble(1.0, 1000, 0, workers=1)
-        # the fill imports the pool at call time, so patch it at its source
+        m = 2 * BLOCK + 8  # three leaves: BLOCK, BLOCK / 2, BLOCK / 2 + 8
+        base = run_ensemble(1.0, m, 0, workers=1)
+        # the engine imports the pool at call time, so patch it at its source
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
-        capped = run_ensemble(1.0, 1000, 0, workers=workers)
-        assert requested and max(requested) <= min(workers, os.cpu_count() or 1)
-        assert np.array_equal(base.lifetimes, capped.lifetimes)
+        capped = run_ensemble(1.0, m, 0, workers=workers)
+        cap = min(workers, 3, os.cpu_count() or 1)
+        # one thread runs inline, without a pool
+        assert requested == ([] if cap == 1 else [cap])
+        assert base == capped
 
-    def test_ensemble_larger_than_physical_memory_rejected(self, monkeypatch):
-        monkeypatch.setattr("lightclock.decay._physical_memory_bytes", lambda: 2 ** 20)
-        with pytest.raises(ValueError, match=f"8000000 bytes, more than the {2 ** 20} bytes"):
-            run_ensemble(1.0, 10 ** 6, 0)
-        # the bound is inclusive: a buffer of exactly physical memory is allowed
-        assert run_ensemble(1.0, 2 ** 17, 0).lifetimes.nbytes == 2 ** 20
+    def test_memory_bounded_by_threads_times_block(self):
+        threads = min(2, os.cpu_count() or 1)
+        # warm: the first call also imports the thread pool
+        run_ensemble(1.0, 4 * BLOCK, 0, workers=2)
+        tracemalloc.start()
+        try:
+            run_ensemble(1.0, 4 * BLOCK, 0, workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a full buffer would be 32 MiB; each thread holds one 8 MiB leaf
+        assert peak <= threads * 8 * BLOCK + 2 ** 20
 
-    def test_memory_probe_absent_without_sysconf(self, monkeypatch):
-        monkeypatch.delattr(os, "sysconf")
-        assert _physical_memory_bytes() is None
+    def test_ensemble_beyond_sample_cap_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match=f"must lie in 1..{MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
+            run_ensemble(1.0, MAX_SAMPLES + 1, 0)
+        # the cap is read at call time and is inclusive
+        monkeypatch.setattr("lightclock.decay.MAX_SAMPLES", 10)
         assert run_ensemble(1.0, 10, 0).sample_count == 10
-
-    def test_memory_probe_reads_host(self):
-        assert _physical_memory_bytes() > 0
+        with pytest.raises(ValueError, match="must lie in 1..10, got 11"):
+            run_ensemble(1.0, 11, 0)
 
     def test_distinct_seeds_give_distinct_streams(self):
-        a = run_ensemble(1.0, 100, 1)
-        b = run_ensemble(1.0, 100, 2)
-        assert not np.array_equal(a.lifetimes, b.lifetimes)
+        a = _leaf_lifetimes(1.0, 1, 0, 100)
+        b = _leaf_lifetimes(1.0, 2, 0, 100)
+        assert not np.array_equal(a, b)
+        assert run_ensemble(1.0, 100, 1).tau_hat != run_ensemble(1.0, 100, 2).tau_hat
 
     def test_estimator_unbiased_over_many_seeds(self):
         m, runs, tau = 1000, 200, 1.0

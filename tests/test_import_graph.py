@@ -1,4 +1,5 @@
-"""Import graph: only the decay path loads numpy and the thread pool.
+"""Import graph: only the decay path loads numpy, and the thread pool only
+when more than one thread runs.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy.  No timing is asserted, only which modules got loaded.
@@ -55,6 +56,14 @@ def test_lean_command_loads_neither(argv):
     run_child(CLI_BODY.format(argv=argv), [])
 
 
+def test_single_block_decay_loads_numpy_only():
+    argv = ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1", "--workers", "2"]
+    run_child(CLI_BODY.format(argv=argv), ["numpy"])
+
+
 def test_decay_command_loads_both():
-    argv = ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1"]
-    run_child(CLI_BODY.format(argv=argv), list(HEAVY))
+    # two blocks of 2^20 samples and two workers: a pool, where two CPUs exist
+    argv = ["decay", "--tau-s", "1", "--samples", str(2 ** 21 + 8), "--seed", "1",
+            "--workers", "2"]
+    pool = ["concurrent.futures"] if (os.cpu_count() or 1) > 1 else []
+    run_child(CLI_BODY.format(argv=argv), ["numpy"] + pool)
