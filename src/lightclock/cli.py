@@ -269,6 +269,9 @@ def decay(tau_s, v, samples, seed, workers, **flags):
     else:
         _emit(_csv(list(report), [list(report.values())]), cfg.out)
     if not abs(comparison.z_score) <= Z_GATE:
+        click.echo(f"dilation check failed: z = {comparison.z_score!r} is outside "
+                   f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
+                   f"tau_hat_m = {comparison.tau_hat_m!r}", err=True)
         sys.exit(EXIT_STATISTICAL)
 
 
@@ -291,7 +294,9 @@ def velmap(vmax, steps, alternate, **flags):
     header = ["v", "w"] + (["w_alt"] if alternate else [])
     rows = []
     for i in range(steps + 1):
-        vi = vmax * i / steps
+        vi = vmax * i
+        # vmax * i overflows only for vmax near the float limit
+        vi = vi / steps if vi < math.inf else vmax * (i / steps)
         row = [vi, nsppm_velocity(vi, cfg.c)]
         if alternate:
             row.append(standard_rapidity(vi, cfg.c))

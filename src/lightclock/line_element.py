@@ -380,6 +380,12 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
         "rejected_branch_inconsistent":
             branch.rejected if coeffs.alpha < 0 else branch.ratio == 0,
     }
+    if exact:
+        try:  # as_dict makes these floats, and they bound every other field
+            list(map(float, (v, d, c, coef_radial, lhs_eps2, rhs_eps2)))
+        except OverflowError:
+            raise ValueError(f"the exact report at v = {v}, d = {d}, c = {c} "
+                             "is beyond the float range") from None
     return CertificationReport(
         v=v, d=d, c=c, exact=exact, order=order,
         eta=eta, alpha=coeffs.alpha, beta=coeffs.beta,

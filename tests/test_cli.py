@@ -1,11 +1,13 @@
 """CLI tests: subcommands, exit codes, formats, config and schemas."""
 
+import dataclasses
 import json
 
 import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from lightclock import cli
 from lightclock.cli import main
 from lightclock.schemas import load_schema
 
@@ -153,6 +155,24 @@ class TestDecayCommand:
         assert_rejected(result)
         assert "1..1000000000" in result.stderr
 
+    def test_gate_failure_says_why_on_stderr(self, runner, monkeypatch):
+        args = ["decay", "--tau-s", "1", "--v", "0.6", "--samples", "1000",
+                "--seed", "3", "--format", "json"]
+        passed = invoke(runner, args)
+        real = cli.compare_frames
+
+        def off_by_six_sigma(*a, **kw):
+            return dataclasses.replace(real(*a, **kw), z_score=-6.5)
+
+        monkeypatch.setattr(cli, "compare_frames", off_by_six_sigma)
+        result = invoke(runner, args)
+        report = json.loads(passed.stdout)
+        assert result.exit_code == 3
+        assert result.stdout == passed.stdout.replace(repr(report["z_score"]), "-6.5")
+        assert result.stderr == (
+            "dilation check failed: z = -6.5 is outside |z| <= 5.0; "
+            f"tau_hat_s = {report['tau_hat_s']!r}, tau_hat_m = {report['tau_hat_m']!r}\n")
+
     def test_byte_reproducible(self, runner):
         args = ["decay", "--tau-s", "1", "--v", "0.6", "--samples", "2000",
                 "--seed", "21", "--format", "json"]
@@ -203,6 +223,14 @@ class TestVelmapCommand:
         lines = result.output.splitlines()
         assert lines[0] == "v,w,w_alt"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    def test_vmax_near_float_limit_keeps_exact_rows(self, runner):
+        # vmax * i overflows for i >= 2, vmax * (i / steps) does not
+        result = invoke(runner, ["velmap", "--vmax", "1e308", "--c", "1.7e308",
+                                 "--steps", "3"])
+        assert result.exit_code == 0
+        vs = [float(line.split(",")[0]) for line in result.output.splitlines()[1:]]
+        assert vs == [0.0, 1e308 / 3, 1e308 * (2 / 3), 1e308]
 
     def test_vmax_at_light_speed_exits_2(self, runner):
         result = invoke(runner, ["velmap", "--vmax", "1.0"])

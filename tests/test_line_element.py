@@ -306,6 +306,20 @@ class TestDerivationConsistency:
         assert report.beta == pytest.approx(0.9375, rel=1e-15)
         assert report.eps2_rel_error <= 1e-12
 
+    @pytest.mark.parametrize("v, c", [
+        (1, 10 ** 400),  # c itself
+        (1, Fraction(1e200)),  # the eps**2 coefficient, about 4 c**2
+        (1 - Fraction(1, 10 ** 400), 1),  # -1/eta as v -> c
+    ])
+    def test_exact_report_beyond_float_range_rejected(self, v, c):
+        # such a report would pass, then fail to serialise its float fields
+        with pytest.raises(ValueError, match="beyond the float range"):
+            certify_derivation(v, 0, c, exact=True)
+
+    def test_exact_report_near_float_range_accepted(self):
+        report = certify_derivation(1, 0, Fraction(1e150), exact=True)
+        assert report.passed and report.as_dict()["c"] == 1e150
+
     def test_certification_rejects_superluminal(self):
         with pytest.raises(SuperluminalError):
             certify_derivation(1.0)
