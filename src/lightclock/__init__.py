@@ -16,7 +16,6 @@ from .decay import (
 from .errors import (
     CausalityError,
     DegeneratePairError,
-    FrameError,
     GeometryError,
     LightClockError,
     OrderMismatchError,
@@ -34,7 +33,6 @@ from .infinitesimals import (
 from .line_element import (
     BranchDiagnostic,
     CertificationReport,
-    Displacement,
     LineElementParams,
     TransformCoeffs,
     certify_derivation,

@@ -57,27 +57,24 @@ _FRAME_KEY_SALT = 0x9E3779B97F4A7C15
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Exponentially decaying population with mean lifetime ``tau``.
+    """Exponentially decaying population ``n0`` with mean lifetime ``tau``.
 
-    ``tau`` must lie in (0, tau_bound]; the bound is a sanity guard, not a
-    physical constant.
+    ``n0`` must be positive and finite and ``tau`` lie in
+    (0, DEFAULT_TAU_BOUND]; the bound is a sanity guard, not a physical
+    constant.
     """
 
     n0: float
     tau: float
-    frame: str = "s"
-    tau_bound: float = DEFAULT_TAU_BOUND
 
     def __post_init__(self):
         # negated comparisons, so NaN fails each check it reaches
         if not 0 < self.n0 < math.inf:
             raise ValueError(f"initial population must be positive and finite, got {self.n0}")
-        if not 0 < self.tau <= self.tau_bound:
+        if not 0 < self.tau <= DEFAULT_TAU_BOUND:
             raise ValueError(
-                f"mean lifetime must lie in (0, {self.tau_bound}], got {self.tau}"
+                f"mean lifetime must lie in (0, {DEFAULT_TAU_BOUND}], got {self.tau}"
             )
-        if self.frame not in ("s", "m"):
-            raise ValueError(f"frame must be 's' or 'm', got {self.frame!r}")
 
 
 def population(model: DecayModel, t: float) -> float:

@@ -29,9 +29,5 @@ class DegeneratePairError(LightClockError, ValueError):
     """Velocity requested from two radar records with equal Einstein time."""
 
 
-class FrameError(LightClockError, ValueError):
-    """Displacement tagged with the wrong frame for the requested evaluation."""
-
-
 class PoleError(LightClockError, ZeroDivisionError):
     """Vanishing denominator in a velocity-ratio evaluation."""

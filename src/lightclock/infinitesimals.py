@@ -27,6 +27,7 @@ from .errors import OrderMismatchError, OutOfGridError
 
 DEFAULT_ORDER = 2
 CLOSENESS_TOL = 1e-12
+_PLAIN_REALS = frozenset((float, int, Fraction))
 
 
 def _require_same_order(a: "TruncatedHyper", b: "TruncatedHyper") -> None:
@@ -52,7 +53,8 @@ class TruncatedHyper:
         if len(coeffs) < 1:
             raise ValueError("at least one coefficient (the standard part) required")
         for c in coeffs:
-            if not isinstance(c, Real):
+            # the exact type test spares the slow ABC check on the hot path
+            if type(c) not in _PLAIN_REALS and not isinstance(c, Real):
                 raise TypeError(f"coefficient {c!r} is not a real number")
             if isinstance(c, float) and not math.isfinite(c):
                 raise ValueError(f"coefficient {c!r} is not finite")

@@ -36,13 +36,19 @@ exposed separately as ``standard_rapidity`` for comparison only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .errors import FrameError, PoleError, SuperluminalError
+from .errors import PoleError, SuperluminalError
 from .infinitesimals import DEFAULT_ORDER, TruncatedHyper, st
 
 IDENTITY_TOL = 1e-12
+
+
+def check_light_speed(c) -> None:
+    """The one light-speed check; negated, so NaN fails it like 0 and inf."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"light speed must be positive and finite, got {c}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +66,7 @@ class LineElementParams:
 
     def __post_init__(self):
         # negated comparisons, so NaN fails each check it reaches
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"light speed must be positive and finite, got {self.c}")
+        check_light_speed(self.c)
         total = self.v + self.d
         if not 0 <= total:
             raise ValueError(f"v + d = {total} is outside 0 <= v + d < c")
@@ -100,31 +105,6 @@ def solve_transform_coeffs(p: LineElementParams) -> TransformCoeffs:
     s = (p.v + p.d) / p.c
     eta = lambda_factor(p)
     return TransformCoeffs(alpha=-s, beta=s / eta, eta=eta)
-
-
-@dataclass(frozen=True)
-class BranchDiagnostic:
-    """Outcome of evaluating the sign-flipped square-root branch."""
-
-    alpha: float
-    beta: float
-    ratio: float
-    rejected: bool
-
-
-def check_rejected_branch(p: LineElementParams) -> BranchDiagnostic:
-    """Evaluate the sign-flipped branch ``alpha = +s`` and report its ratio.
-
-    For a co-moving point (dr_m/dT_m = 0) this branch yields
-    ``dr_s/dT_s = -s = -(v + d)/c``, which is negative for every forward
-    velocity 0 < v + d < c and therefore inconsistent with it.  At rest
-    both branches coincide and nothing is rejected.
-    """
-    admissible = solve_transform_coeffs(p)
-    alpha, beta = -admissible.alpha, -admissible.beta
-    ratio = -alpha
-    return BranchDiagnostic(alpha=alpha, beta=beta, ratio=ratio,
-                            rejected=bool(ratio < 0))
 
 
 def expand_quadratic(alpha, beta):
@@ -172,37 +152,57 @@ def velocity_ratio(coeffs: TransformCoeffs, drm_over_dTm):
 
 
 @dataclass(frozen=True)
-class Displacement:
-    """Pure-infinitesimal displacement (dr, dt) tagged with its frame."""
+class BranchDiagnostic:
+    """Outcome of evaluating the sign-flipped square-root branch.
 
-    dr: TruncatedHyper
-    dt: TruncatedHyper
-    frame: str
+    ``ratio`` is the ``dr_s/dT_s`` the branch gives a co-moving point.
+    """
 
-    def __post_init__(self):
-        if self.frame not in ("s", "m"):
-            raise FrameError(f"frame must be 's' or 'm', got {self.frame!r}")
-        if st(self.dr) != 0 or st(self.dt) != 0:
-            raise ValueError("displacements must be pure infinitesimals")
+    alpha: float
+    beta: float
+    ratio: float
+    rejected: bool
 
 
-def line_element_s(d: Displacement, c) -> TruncatedHyper:
+def check_rejected_branch(coeffs: TransformCoeffs) -> BranchDiagnostic:
+    """Evaluate the sign-flipped branch ``alpha = +s`` of solved coefficients.
+
+    The co-moving displacement ``(dr_m, dT_m) = (0, eps)``, pushed through
+    ``transform_differentials`` with the flipped coefficients, is seen with
+    ``dr_s/dT_s = -s = -(v + d)/c``: negative for every forward velocity
+    0 < v + d < c and therefore inconsistent with it.  The ratio is read
+    from the transformed series, so a broken transformation shows in it.
+    At rest both branches coincide and nothing is rejected.
+    """
+    flipped = TransformCoeffs(alpha=-coeffs.alpha, beta=-coeffs.beta, eta=coeffs.eta)
+    zero = coeffs.eta * 0  # Fraction over exact coefficients, else float
+    drs, dTs = transform_differentials(flipped, TruncatedHyper((zero, zero)),
+                                       TruncatedHyper((zero, zero + 1)))
+    ratio = drs.coeffs[1] / dTs.coeffs[1]
+    return BranchDiagnostic(alpha=flipped.alpha, beta=flipped.beta, ratio=ratio,
+                            rejected=bool(ratio < 0))
+
+
+def _check_displacement(dr: TruncatedHyper, dt: TruncatedHyper) -> None:
+    if st(dr) != 0 or st(dt) != 0:
+        raise ValueError("displacements must be pure infinitesimals")
+
+
+def line_element_s(dr: TruncatedHyper, dt: TruncatedHyper, c) -> TruncatedHyper:
     """Isotropic interval ``dS**2 = (c*dt)**2 - dr**2`` for s-frame data."""
-    if d.frame != "s":
-        raise FrameError(f"expected an s-frame displacement, got {d.frame!r}")
-    if c <= 0:
-        raise ValueError(f"light speed must be positive, got {c}")
-    d_t = d.dt * c
-    return d_t * d_t - d.dr * d.dr
+    _check_displacement(dr, dt)
+    check_light_speed(c)
+    d_t = dt * c
+    return d_t * d_t - dr * dr
 
 
-def line_element_m(d: Displacement, p: LineElementParams) -> TruncatedHyper:
+def line_element_m(dr: TruncatedHyper, dt: TruncatedHyper,
+                   p: LineElementParams) -> TruncatedHyper:
     """Dilated interval ``dS**2 = lam*(c*dt)**2 - (1/lam)*dr**2`` for m-frame data."""
-    if d.frame != "m":
-        raise FrameError(f"expected an m-frame displacement, got {d.frame!r}")
+    _check_displacement(dr, dt)
     lam = lambda_factor(p)
-    d_t = d.dt * p.c
-    return d_t * d_t * lam - (d.dr * d.dr) / lam
+    d_t = dt * p.c
+    return d_t * d_t * lam - (dr * dr) / lam
 
 
 def nsppm_velocity(v, c=1.0):
@@ -212,8 +212,7 @@ def nsppm_velocity(v, c=1.0):
     as ``v -> c``.  Composed physical velocities correspond to *adding*
     their w-values.
     """
-    if c <= 0:
-        raise ValueError(f"light speed must be positive, got {c}")
+    check_light_speed(c)
     if abs(v) >= c:
         raise SuperluminalError(f"|v| = {abs(v)} >= c = {c}")
     u = (v / c) ** 2
@@ -228,8 +227,7 @@ def standard_rapidity(v, c=1.0):
     Provided only as a labelled alternate column for comparison with
     ``nsppm_velocity``; nothing in this package derives from it.
     """
-    if c <= 0:
-        raise ValueError(f"light speed must be positive, got {c}")
+    check_light_speed(c)
     if abs(v) >= c:
         raise SuperluminalError(f"|v| = {abs(v)} >= c = {c}")
     u = v / c
@@ -244,8 +242,7 @@ def invert_nsppm_velocity(w, c=1.0):
     ``w`` is rejected, and so is any ``w`` whose ``tanh(w / c)`` rounds to 1
     (above about ``w = 19.06 * c``), where ``v`` would reach ``c``.
     """
-    if c <= 0:
-        raise ValueError(f"light speed must be positive, got {c}")
+    check_light_speed(c)
     if not w >= 0:
         raise ValueError(f"w must be a nonnegative number, got {w}")
     u = math.tanh(w / c)
@@ -276,9 +273,9 @@ def _json_value(value):
 
 
 def report_dict(report, **renames) -> dict:
-    """Every field of a report dataclass, in order, keyed by name or rename."""
+    """Every JSON field of a report dataclass, in order, keyed by name or rename."""
     return {renames.get(f.name, f.name): _json_value(getattr(report, f.name))
-            for f in fields(report)}
+            for f in fields(report) if f.metadata.get("json", True)}
 
 
 def _relative_error(a, b) -> float:
@@ -295,6 +292,8 @@ class CertificationReport:
     evaluated on transformed differentials; ``rhs_eps2`` is the same
     coefficient from the dilated interval directly.  In exact mode every
     check is an equality over rationals and ``eps2_rel_error`` is exactly 0.
+    ``failures`` says, one line per failed check, what was measured against
+    which tolerance; it is a diagnostic, not part of the JSON report.
     """
 
     v: float
@@ -316,6 +315,7 @@ class CertificationReport:
     rejected_branch_ratio: float
     checks: dict
     passed: bool
+    failures: tuple = field(default=(), compare=False, metadata={"json": False})
 
     def as_dict(self) -> dict:
         return report_dict(self)
@@ -333,8 +333,8 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     * the transformed isotropic interval equals the dilated interval on a
       probe displacement (dr_m, dt_m) = (eps, 2*eps);
     * a co-moving point is seen with velocity ratio ``(v + d)/c``;
-    * the sign-flipped branch is inconsistent (negative ratio) for
-      ``(v + d)/c > 0``.
+    * the sign-flipped branch sees a co-moving point move backwards
+      (negative ratio) for ``(v + d)/c > 0``, and at rest for ``v + d = 0``.
 
     In ``exact`` mode the inputs are converted to ``Fraction`` and every
     check is a zero-tolerance rational equality; the coefficients are built
@@ -358,28 +358,35 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     drm = TruncatedHyper.infinitesimal(one, order=order)
     dtm = TruncatedHyper.infinitesimal(one + one, order=order)
     drs, dTs = transform_differentials(coeffs, drm, dtm * c)
-    lhs = line_element_s(Displacement(dr=drs, dt=dTs / c, frame="s"), c)
-    rhs = line_element_m(Displacement(dr=drm, dt=dtm, frame="m"), p)
+    lhs = line_element_s(drs, dTs / c, c)
+    rhs = line_element_m(drm, dtm, p)
     lhs_eps2 = lhs.coeffs[2]
     rhs_eps2 = rhs.coeffs[2]
     eps2_rel_error = _relative_error(lhs_eps2, rhs_eps2)
 
-    branch = check_rejected_branch(p)
+    branch = check_rejected_branch(coeffs)
     recovered = velocity_ratio(coeffs, 0 * one)
 
-    checks = {
-        "cross_term_zero": bool(abs(coef_cross) <= tol),
-        "time_coefficient_is_eta": _relative_error(coef_time, eta) <= tol,
+    measured = {  # each check passes when its measured value is <= tol
+        "cross_term_zero": abs(coef_cross),
+        "time_coefficient_is_eta": _relative_error(coef_time, eta),
         "radial_coefficient_is_neg_inverse_eta":
-            _relative_error(coef_radial, -1 / eta) <= tol,
-        "line_elements_match": eps2_rel_error <= tol,
-        "velocity_ratio_recovered":
-            _relative_error(recovered, (v + d) / c) <= tol,
-        # keyed on s = -alpha > 0, not on eta < 1: in floats eta rounds to 1
-        # once s is below about 1e-8, and s can underflow to 0 while v + d > 0
-        "rejected_branch_inconsistent":
-            branch.rejected if coeffs.alpha < 0 else branch.ratio == 0,
+            _relative_error(coef_radial, -1 / eta),
+        "line_elements_match": eps2_rel_error,
+        "velocity_ratio_recovered": _relative_error(recovered, (v + d) / c),
     }
+    checks = {name: bool(value <= tol) for name, value in measured.items()}
+    failures = [f"{name}: measured {float(value)!r} > tolerance {float(tol)!r}"
+                for name, value in measured.items() if not checks[name]]
+    # keyed on s = -alpha > 0, not on eta < 1: in floats eta rounds to 1
+    # once s is below about 1e-8, and s can underflow to 0 while v + d > 0
+    moving = coeffs.alpha < 0
+    checks["rejected_branch_inconsistent"] = (
+        branch.rejected if moving else branch.ratio == 0)
+    if not checks["rejected_branch_inconsistent"]:
+        failures.append(f"rejected_branch_inconsistent: flipped branch sees "
+                        f"dr_s/dT_s = {float(branch.ratio)!r} for a co-moving "
+                        f"point, expected {'< 0' if moving else '0'}")
     if exact:
         try:  # as_dict makes these floats, and they bound every other field
             list(map(float, (v, d, c, coef_radial, lhs_eps2, rhs_eps2)))
@@ -392,6 +399,7 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
         coef_time=coef_time, coef_cross=coef_cross, coef_radial=coef_radial,
         lhs_coeffs=lhs.coeffs, rhs_coeffs=rhs.coeffs,
         lhs_eps2=lhs_eps2, rhs_eps2=rhs_eps2, eps2_rel_error=eps2_rel_error,
-        rejected_branch_ratio=branch.ratio,
-        checks=checks, passed=all(checks.values()),
+        # the closed form -s: -0.0 at rest, where the series ratio reads 0.0
+        rejected_branch_ratio=-branch.alpha,
+        checks=checks, passed=all(checks.values()), failures=tuple(failures),
     )

@@ -26,6 +26,7 @@ from .errors import (
     GeometryError,
     SuperluminalError,
 )
+from .line_element import check_light_speed
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,7 @@ class RadarRecord:
     v_E: float | None = None
 
     def __post_init__(self):
-        # negated comparison, so NaN fails it
-        if not 0 < self.c < math.inf:
-            raise ValueError(f"light speed must be positive and finite, got {self.c}")
+        check_light_speed(self.c)
         if not all(map(math.isfinite, (self.t3, self.t_E, self.r_E))):
             raise GeometryError(f"radar measures overflow: t3={self.t3}, "
                                 f"t_E={self.t_E}, r_E={self.r_E}")
@@ -83,8 +82,7 @@ def simulate_ping(refl: Reflector, t1: float, c: float = 1.0) -> RadarRecord:
     ahead of the emitter (positive position) at the reflection event, and
     the closing speed ``c - v`` must not overflow the float range.
     """
-    if not 0 < c < math.inf:
-        raise ValueError(f"light speed must be positive and finite, got {c}")
+    check_light_speed(c)
     if abs(refl.v) >= c:
         raise SuperluminalError(
             f"|v|={abs(refl.v)} >= c={c}: no intercept with a superluminal reflector"

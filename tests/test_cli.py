@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -109,6 +110,20 @@ class TestDeriveCommand:
         assert report["rejected_branch_ratio"] == -1e-9
         assert report["passed"] is True
 
+    def test_certification_failure_says_why_on_stderr(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": 0}))
+        result = invoke(runner, ["derive", "--v", "1/3"],
+                        env={"LIGHTCLOCK_CONFIG": str(cfg)})
+        report = json.loads(result.stdout)
+        assert result.exit_code == 4
+        jsonschema.validate(report, load_schema("derive_report"))
+        assert [k for k, ok in report["checks"].items() if not ok] == \
+            ["line_elements_match"]
+        assert result.stderr == (
+            "certification check failed: line_elements_match: measured "
+            f"{report['eps2_rel_error']!r} > tolerance 0.0\n")
+
     def test_light_speed_boundary_exits_2(self, runner):
         result = invoke(runner, ["derive", "--v", "1.0"])
         assert result.exit_code == 2
@@ -145,6 +160,9 @@ class TestDecayCommand:
         result = invoke(runner, ["decay", "--tau-s", "1", "--v", "0",
                                  "--samples", "10", "--seed", "7"])
         assert result.exit_code == 0
+
+    def test_lifetime_beyond_bound_exits_2(self, runner):
+        assert_rejected(invoke(runner, ["decay", "--tau-s", "1e16"]))
 
     def test_zero_samples_exits_2(self, runner):
         result = invoke(runner, ["decay", "--tau-s", "1", "--samples", "0"])
@@ -271,12 +289,30 @@ class TestConfig:
         assert result.exit_code == 2
         assert "unknown keys" in result.stderr
 
-    def test_out_of_range_value_rejected(self, runner, tmp_path):
+    @pytest.mark.parametrize("key, value", [("order", 2), ("tau_bound", 1e15)])
+    def test_removed_key_rejected(self, runner, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"order": 1}))
+        cfg.write_text(json.dumps({key: value}))
         result = invoke(runner, ["derive", "--v", "0.5"],
                         env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert result.exit_code == 2
+        assert_rejected(result)
+        assert result.stderr == f"error: config: unknown keys [{key!r}]\n"
+
+    def test_out_of_range_value_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance": 1}))
+        result = invoke(runner, ["derive", "--v", "0.5"],
+                        env={"LIGHTCLOCK_CONFIG": str(cfg)})
+        assert_rejected(result)
+        assert "tolerance must lie in [0, 1e-6], got 1" in result.stderr
+
+    def test_readme_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        section = text.split("### Configuration")[1].split("\n### ")[0]
+        keys = [row.split("`")[1] for row in section.splitlines()
+                if row.startswith("| `")]
+        assert keys == [f.name for f in dataclasses.fields(cli.RunConfig)]
 
     def test_missing_config_file_rejected(self, runner):
         result = invoke(runner, ["velmap", "--vmax", "0.5"],
@@ -298,7 +334,7 @@ class TestHelpAndErrors:
         (["velmap", "--vmax", "0.5", "--c", "inf"], None),
         (["radar", "--t1", "1"], '{"c": NaN}'),
         (["velmap", "--vmax", "0.5"], '{"c": "2"}'),
-        (["velmap", "--vmax", "0.5"], '{"order": "3"}'),
+        (["velmap", "--vmax", "0.5"], '{"tolerance": "0"}'),
         (["velmap", "--vmax", "0.5"], '{"out": 5}'),
         # a bad config value fails even where a flag overrides it
         (["velmap", "--vmax", "0.5", "--c", "1"], '{"c": true}'),

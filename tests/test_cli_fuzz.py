@@ -1,9 +1,11 @@
 """Seeded CLI fuzzing: every input is accepted with valid output or rejected.
 
 Numeric flags draw any float (NaN, infinities, subnormals, +-1e308) or short
-text.  Whatever the input, no command ends with a traceback: it exits 0, 3
-or 4 with schema-valid JSON or a finite CSV table, or it exits 2 with
-nothing on stdout.
+text.  Whatever the input, no command ends with a traceback: it exits 0
+with schema-valid JSON or a finite CSV table, or 2 with nothing on stdout.
+Only decay may also exit 3 (its z-score gate) and only derive 4 (a failed
+certification check); derive keeps 4 until its eps**2 gate is scaled to the
+size of the summands, since a few float points still fail it falsely.
 """
 
 import json
@@ -35,18 +37,16 @@ def optional(flag, value):
     return [] if value is None else [flag, value]
 
 
-def run(args):
+def run(args, exits=(0, 2)):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
-    assert result.exit_code != 1
     assert "Traceback" not in result.stderr
+    assert result.exit_code in exits, (result.exit_code, result.stderr)
     if result.exit_code == 2:
         assert result.stdout == ""
         # click's own usage errors print a usage block; ours print one line
         if not result.stderr.startswith("Usage:"):
             assert result.stderr.startswith("error: ")
             assert result.stderr.count("\n") == 1
-    else:
-        assert result.exit_code in (0, 3, 4)
     return result
 
 
@@ -84,7 +84,7 @@ def test_radar_fuzz(x0, v, t1s, c, fmt):
        exact=st_.booleans())
 def test_derive_fuzz(v, d, c, exact):
     args = ["derive", "--v", v, *optional("--d", d), *optional("--c", c)]
-    result = run(args + (["--exact"] if exact else []))
+    result = run(args + (["--exact"] if exact else []), exits=(0, 2, 4))
     check_output(result, "json", "derive_report", None)
 
 
@@ -96,7 +96,7 @@ def test_decay_fuzz(tau_s, v, c, samples, seed, workers, fmt):
     args = ["decay", "--tau-s", tau_s, "--v", v, *optional("--c", c),
             "--samples", str(samples), "--seed", str(seed),
             "--workers", str(workers), *optional("--format", fmt)]
-    result = run(args)
+    result = run(args, exits=(0, 2, 3))
     check_output(result, fmt, "decay_report",
                  "tau_s,v,c,lambda,gamma,tau_m_analytic,tau_hat_s,tau_hat_m,"
                  "ratio,z_score,samples,seed")

@@ -50,9 +50,6 @@ class TestDecayModel:
         with pytest.raises(ValueError):
             DecayModel(n0=1.0, tau=1e16)  # beyond the default bound
 
-    def test_custom_bound(self):
-        assert DecayModel(n0=1.0, tau=1e16, tau_bound=1e17).tau == 1e16
-
     @pytest.mark.parametrize("n0", [math.nan, math.inf, -math.inf])
     def test_non_finite_population_rejected(self, n0):
         with pytest.raises(ValueError, match="positive and finite"):

@@ -9,10 +9,10 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st_
 
-from lightclock.errors import FrameError, PoleError, SuperluminalError
+from lightclock import line_element
+from lightclock.errors import PoleError, SuperluminalError
 from lightclock.infinitesimals import TruncatedHyper
 from lightclock.line_element import (
-    Displacement,
     LineElementParams,
     certify_derivation,
     check_rejected_branch,
@@ -110,26 +110,51 @@ class TestTransformCoeffs:
         assert abs(cross) <= 1e-12
 
 
+def flipped_branch(**params):
+    return check_rejected_branch(solve_transform_coeffs(LineElementParams(**params)))
+
+
 class TestRejectedBranch:
     def test_negative_ratio_at_0_64(self):
-        diag = check_rejected_branch(LineElementParams(v=0.6))
+        diag = flipped_branch(v=0.6)
         assert diag.ratio == pytest.approx(-0.6, rel=1e-15)
         assert diag.rejected
 
     def test_negative_ratio_at_0_36(self):
-        diag = check_rejected_branch(LineElementParams(v=0.8))
+        diag = flipped_branch(v=0.8)
         assert diag.ratio == pytest.approx(-0.8, rel=1e-15)
         assert diag.rejected
 
     def test_branches_coincide_at_rest(self):
-        diag = check_rejected_branch(LineElementParams(v=0.0))
+        diag = flipped_branch(v=0.0)
         assert diag.ratio == 0.0
         assert not diag.rejected
 
+    def test_exact_ratio_below_the_float_range(self):
+        # s = 10**-400 is 0.0 as a float, yet the exact branch is rejected
+        diag = flipped_branch(v=Fraction(1, 10 ** 400), d=0, c=1)
+        assert diag.ratio == Fraction(-1, 10 ** 400)
+        assert diag.rejected
+
     def test_flipped_branch_still_kills_cross_term(self):
-        diag = check_rejected_branch(LineElementParams(v=math.sqrt(0.6)))
+        diag = flipped_branch(v=math.sqrt(0.6))
         _, cross, _ = expand_quadratic(diag.alpha, diag.beta)
         assert abs(cross) <= 1e-12
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_broken_transformation_fails_the_check(self, monkeypatch, exact):
+        def sign_flipped_dT(coeffs, drm, dTm):
+            s = -coeffs.alpha
+            return drm / coeffs.eta - dTm * s, drm * (s / coeffs.eta) + dTm
+
+        assert certify_derivation(Fraction(3, 5), exact=exact).checks[
+            "rejected_branch_inconsistent"]
+        monkeypatch.setattr(line_element, "transform_differentials", sign_flipped_dT)
+        report = certify_derivation(Fraction(3, 5), exact=exact)
+        assert not report.checks["rejected_branch_inconsistent"]
+        assert float(report.rejected_branch_ratio) == -0.6
+        assert any(line.startswith("rejected_branch_inconsistent: ")
+                   for line in report.failures)
 
 
 class TestExpandQuadratic:
@@ -213,54 +238,42 @@ class TestVelocityRatio:
 
 class TestLineElements:
     def test_pure_time_displacement(self):
-        d = Displacement(dr=EPS(0.0), dt=EPS(), frame="s")
-        assert line_element_s(d, 1.0).coeffs == (0.0, 0.0, 1.0)
+        assert line_element_s(EPS(0.0), EPS(), 1.0).coeffs == (0.0, 0.0, 1.0)
 
     def test_lightlike_displacement(self):
-        d = Displacement(dr=EPS(), dt=EPS(), frame="s")
-        assert line_element_s(d, 1.0).coeffs == (0.0, 0.0, 0.0)
+        assert line_element_s(EPS(), EPS(), 1.0).coeffs == (0.0, 0.0, 0.0)
 
     def test_timelike_displacement(self):
-        d = Displacement(dr=EPS(), dt=EPS(2.0), frame="s")
-        assert line_element_s(d, 1.0).coeffs[2] == 3.0
-
-    def test_wrong_frame_rejected(self):
-        d = Displacement(dr=EPS(), dt=EPS(), frame="m")
-        with pytest.raises(FrameError):
-            line_element_s(d, 1.0)
-        with pytest.raises(FrameError):
-            line_element_m(Displacement(dr=EPS(), dt=EPS(), frame="s"),
-                           LineElementParams(v=0.6))
+        assert line_element_s(EPS(), EPS(2.0), 1.0).coeffs[2] == 3.0
 
     def test_moving_frame_at_rest_reduces_to_isotropic(self):
         p = LineElementParams(v=0.0)
-        dm = Displacement(dr=EPS(0.3), dt=EPS(0.7), frame="m")
-        ds = Displacement(dr=EPS(0.3), dt=EPS(0.7), frame="s")
-        assert line_element_m(dm, p).coeffs == line_element_s(ds, 1.0).coeffs
+        assert line_element_m(EPS(0.3), EPS(0.7), p).coeffs == \
+            line_element_s(EPS(0.3), EPS(0.7), 1.0).coeffs
 
     def test_moving_frame_time_coefficient(self):
         p = LineElementParams(v=0.6)
-        d = Displacement(dr=EPS(0.0), dt=EPS(), frame="m")
-        assert line_element_m(d, p).coeffs[2] == pytest.approx(0.64, rel=1e-12)
+        assert line_element_m(EPS(0.0), EPS(), p).coeffs[2] == \
+            pytest.approx(0.64, rel=1e-12)
 
     def test_moving_frame_radial_coefficient(self):
         p = LineElementParams(v=0.6)
-        d = Displacement(dr=EPS(), dt=EPS(0.0), frame="m")
-        assert line_element_m(d, p).coeffs[2] == pytest.approx(-1.5625, rel=1e-12)
+        assert line_element_m(EPS(), EPS(0.0), p).coeffs[2] == \
+            pytest.approx(-1.5625, rel=1e-12)
 
     def test_time_reversal_symmetry_is_exact(self):
         p = LineElementParams(v=0.6)
-        d_fwd = Displacement(dr=EPS(0.4), dt=EPS(0.9), frame="m")
-        d_rev = Displacement(dr=EPS(0.4), dt=EPS(-0.9), frame="m")
-        assert line_element_m(d_fwd, p).coeffs == line_element_m(d_rev, p).coeffs
+        assert line_element_m(EPS(0.4), EPS(0.9), p).coeffs == \
+            line_element_m(EPS(0.4), EPS(-0.9), p).coeffs
 
     def test_displacement_must_be_infinitesimal(self):
-        with pytest.raises(ValueError):
-            Displacement(dr=TruncatedHyper.constant(1.0), dt=EPS(), frame="s")
-
-    def test_unknown_frame_rejected(self):
-        with pytest.raises(FrameError):
-            Displacement(dr=EPS(), dt=EPS(), frame="lab")
+        real = TruncatedHyper.constant(1.0)
+        with pytest.raises(ValueError, match="pure infinitesimals"):
+            line_element_s(real, EPS(), 1.0)
+        with pytest.raises(ValueError, match="pure infinitesimals"):
+            line_element_s(EPS(), real, 1.0)
+        with pytest.raises(ValueError, match="pure infinitesimals"):
+            line_element_m(EPS(), real, LineElementParams(v=0.6))
 
 
 class TestDerivationConsistency:
@@ -276,8 +289,8 @@ class TestDerivationConsistency:
             drm = EPS(rng.uniform(-10, 10))
             dtm = EPS(rng.uniform(-10, 10))
             drs, dTs = transform_differentials(tc, drm, dtm * p.c)
-            lhs = line_element_s(Displacement(dr=drs, dt=dTs / p.c, frame="s"), p.c)
-            rhs = line_element_m(Displacement(dr=drm, dt=dtm, frame="m"), p)
+            lhs = line_element_s(drs, dTs / p.c, p.c)
+            rhs = line_element_m(drm, dtm, p)
             scale = max(abs(lhs.coeffs[2]), abs(rhs.coeffs[2]), 1e-30)
             assert abs(lhs.coeffs[2] - rhs.coeffs[2]) <= 1e-12 * scale
 
@@ -363,6 +376,16 @@ class TestVelocityMaps:
             assert invert_nsppm_velocity(w) == pytest.approx(v, abs=1e-10)
         assert invert_nsppm_velocity(nsppm_velocity(0.6)) == \
             pytest.approx(0.6, abs=1e-15)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", [
+        nsppm_velocity, standard_rapidity, invert_nsppm_velocity,
+        lambda v, c: line_element_s(EPS(), EPS(), c),
+    ], ids=["nsppm_velocity", "standard_rapidity", "invert_nsppm_velocity",
+            "line_element_s"])
+    def test_light_speed_must_be_positive_and_finite(self, fn, c):
+        with pytest.raises(ValueError, match="light speed must be positive and finite"):
+            fn(0.5, c)
 
     def test_inverse_domain_rejected(self):
         with pytest.raises(ValueError):
