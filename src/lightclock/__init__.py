@@ -31,7 +31,6 @@ from .infinitesimals import (
     st,
 )
 from .line_element import (
-    BranchDiagnostic,
     CertificationReport,
     LineElementParams,
     TransformCoeffs,

@@ -98,6 +98,18 @@ def _ddt_forward3(f, t: float, h: float) -> float:
     return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2.0 * h)) / (2.0 * h)
 
 
+def _ddt(f, t: float, h: float, boundary) -> float:
+    """df/dt at t >= 0 by central differences, or ``boundary`` within h of 0.
+
+    The one guard of the finite-difference checks; negated, so NaN fails it.
+    """
+    if not t >= 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h}")
+    return _ddt_central(f, t, h) if t >= h else boundary(f, t, h)
+
+
 def ode_residual(model: DecayModel, t: float, step: float) -> float:
     """Residual ``N(t) + tau * dN/dt`` with a finite-difference derivative.
 
@@ -105,15 +117,7 @@ def ode_residual(model: DecayModel, t: float, step: float) -> float:
     a one-sided first-order difference is used instead, so the residual is
     only O(step) there.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    f = lambda x: population(model, x)
-    if t >= step:
-        deriv = _ddt_central(f, t, step)
-    else:
-        deriv = _ddt_forward(f, t, step)
+    deriv = _ddt(lambda x: population(model, x), t, step, _ddt_forward)
     return population(model, t) + model.tau * deriv
 
 
@@ -154,14 +158,8 @@ def operator_check(sol: SeparableSolution, r: float, t: float,
     not identically 1 therefore fails away from the roots of ``h(r) = 1``.
     The absolute tolerance assumes populations of order unity.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
     h = step if step is not None else FD_STEP_FACTOR * sol.temporal.tau
-    f = lambda x: sol.field(r, x)
-    if t >= h:
-        deriv = _ddt_central(f, t, h)
-    else:
-        deriv = _ddt_forward3(f, t, h)
+    deriv = _ddt(lambda x: sol.field(r, x), t, h, _ddt_forward3)
     operator_image = population(sol.temporal, t)
     return abs(operator_image - sol.k * deriv) <= tol
 
@@ -188,20 +186,15 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     which holds exactly when ``tau_m = tau_s / gamma``.  The derivative is
     finite-difference, the comparison relative.  Passing an explicit
     ``tau_m`` (e.g. ``tau_s * gamma``) turns this into a negative control.
+    A negative or NaN probe is reported as its moving-frame time ``t_m``.
     """
     tau_dilated = dilated_lifetime(tau_s, p)  # rejects tau_s <= 0 and d != 0
-    if t_probe < 0:
-        raise ValueError(f"probe time must be nonnegative, got {t_probe}")
     gamma = gamma_factor(p)
     if tau_m is None:
         tau_m = tau_dilated
-    t_m = t_probe / gamma
     h = step if step is not None else FD_STEP_FACTOR * tau_m
     nbar = lambda x: n0 * math.exp(-x / tau_m)
-    if t_m >= h:
-        deriv = _ddt_central(nbar, t_m, h)
-    else:
-        deriv = _ddt_forward3(nbar, t_m, h)
+    deriv = _ddt(nbar, t_probe / gamma, h, _ddt_forward3)
     lhs = n0 * math.exp(-t_probe / tau_s)
     rhs = (-tau_s / gamma) * deriv
     return abs(lhs - rhs) <= tol * abs(lhs)

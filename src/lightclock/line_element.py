@@ -103,7 +103,7 @@ def solve_transform_coeffs(p: LineElementParams) -> TransformCoeffs:
     give exact rational coefficients.
     """
     s = (p.v + p.d) / p.c
-    eta = lambda_factor(p)
+    eta = 1 - s * s
     return TransformCoeffs(alpha=-s, beta=s / eta, eta=eta)
 
 
@@ -122,11 +122,11 @@ def expand_quadratic(alpha, beta):
     return one_minus_a2, cross, radial
 
 
-def transform_differentials(coeffs: TransformCoeffs, drm: TruncatedHyper,
-                            dTm: TruncatedHyper):
+def transform_differentials(coeffs: TransformCoeffs, drm, dTm):
     """Map moving-frame differentials (dr_m, dT_m) to s-frame (dr_s, dT_s).
 
-    With the solved coefficients and ``s = -alpha`` the transformation reads
+    The one encoding of the map: the differentials may be series or plain
+    numbers.  With the solved coefficients and ``s = -alpha`` it reads
 
         dr_s = (1/eta) * dr_m + s * dT_m
         dT_s = (s/eta) * dr_m + dT_m.
@@ -140,47 +140,26 @@ def transform_differentials(coeffs: TransformCoeffs, drm: TruncatedHyper,
 def velocity_ratio(coeffs: TransformCoeffs, drm_over_dTm):
     """s-frame velocity ratio dr_s/dT_s for a given moving-frame ratio.
 
-    ``((1/eta)*x + s) / ((s/eta)*x + 1)`` for ``x = dr_m/dT_m`` and
-    ``s = -alpha``; at ``x = 0`` this is ``s = (v + d)/c``.
+    Pushes ``(dr_m, dT_m) = (x, 1)`` for ``x = dr_m/dT_m`` through
+    ``transform_differentials`` on plain numbers, so a broken transformation
+    shows in the ratio; at ``x = 0`` it is ``s = -alpha = (v + d)/c``.
     """
-    s = -coeffs.alpha
-    x = drm_over_dTm
-    denom = (s / coeffs.eta) * x + 1
-    if denom == 0:
-        raise PoleError(f"velocity ratio has a pole at dr_m/dT_m = {x}")
-    return (x / coeffs.eta + s) / denom
+    drs, dTs = transform_differentials(coeffs, drm_over_dTm, 1)
+    if dTs == 0:
+        raise PoleError(f"velocity ratio has a pole at dr_m/dT_m = {drm_over_dTm}")
+    return drs / dTs
 
 
-@dataclass(frozen=True)
-class BranchDiagnostic:
-    """Outcome of evaluating the sign-flipped square-root branch.
+def check_rejected_branch(coeffs: TransformCoeffs):
+    """Velocity ratio of a co-moving point on the sign-flipped branch ``alpha = +s``.
 
-    ``ratio`` is the ``dr_s/dT_s`` the branch gives a co-moving point.
-    """
-
-    alpha: float
-    beta: float
-    ratio: float
-    rejected: bool
-
-
-def check_rejected_branch(coeffs: TransformCoeffs) -> BranchDiagnostic:
-    """Evaluate the sign-flipped branch ``alpha = +s`` of solved coefficients.
-
-    The co-moving displacement ``(dr_m, dT_m) = (0, eps)``, pushed through
-    ``transform_differentials`` with the flipped coefficients, is seen with
-    ``dr_s/dT_s = -s = -(v + d)/c``: negative for every forward velocity
-    0 < v + d < c and therefore inconsistent with it.  The ratio is read
-    from the transformed series, so a broken transformation shows in it.
-    At rest both branches coincide and nothing is rejected.
+    ``velocity_ratio`` of the flipped coefficients at ``dr_m/dT_m = 0`` is
+    ``-s = -(v + d)/c``: negative for every forward velocity 0 < v + d < c
+    and therefore inconsistent with it.  At rest both branches coincide and
+    the ratio is 0.  ``certify_derivation`` decides the rejection.
     """
     flipped = TransformCoeffs(alpha=-coeffs.alpha, beta=-coeffs.beta, eta=coeffs.eta)
-    zero = coeffs.eta * 0  # Fraction over exact coefficients, else float
-    drs, dTs = transform_differentials(flipped, TruncatedHyper((zero, zero)),
-                                       TruncatedHyper((zero, zero + 1)))
-    ratio = drs.coeffs[1] / dTs.coeffs[1]
-    return BranchDiagnostic(alpha=flipped.alpha, beta=flipped.beta, ratio=ratio,
-                            rejected=bool(ratio < 0))
+    return velocity_ratio(flipped, 0)
 
 
 def _check_displacement(dr: TruncatedHyper, dt: TruncatedHyper) -> None:
@@ -336,6 +315,9 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     * the sign-flipped branch sees a co-moving point move backwards
       (negative ratio) for ``(v + d)/c > 0``, and at rest for ``v + d = 0``.
 
+    Both velocity ratios are read from ``transform_differentials``, the map
+    the line-element identity is checked on.
+
     In ``exact`` mode the inputs are converted to ``Fraction`` and every
     check is a zero-tolerance rational equality; the coefficients are built
     from the speed ratio ``(v + d)/c``, so the whole chain stays rational.
@@ -364,7 +346,7 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     rhs_eps2 = rhs.coeffs[2]
     eps2_rel_error = _relative_error(lhs_eps2, rhs_eps2)
 
-    branch = check_rejected_branch(coeffs)
+    branch_ratio = check_rejected_branch(coeffs)
     recovered = velocity_ratio(coeffs, 0 * one)
 
     measured = {  # each check passes when its measured value is <= tol
@@ -382,10 +364,10 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     # once s is below about 1e-8, and s can underflow to 0 while v + d > 0
     moving = coeffs.alpha < 0
     checks["rejected_branch_inconsistent"] = (
-        branch.rejected if moving else branch.ratio == 0)
+        branch_ratio < 0 if moving else branch_ratio == 0)
     if not checks["rejected_branch_inconsistent"]:
         failures.append(f"rejected_branch_inconsistent: flipped branch sees "
-                        f"dr_s/dT_s = {float(branch.ratio)!r} for a co-moving "
+                        f"dr_s/dT_s = {float(branch_ratio)!r} for a co-moving "
                         f"point, expected {'< 0' if moving else '0'}")
     if exact:
         try:  # as_dict makes these floats, and they bound every other field
@@ -399,7 +381,7 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
         coef_time=coef_time, coef_cross=coef_cross, coef_radial=coef_radial,
         lhs_coeffs=lhs.coeffs, rhs_coeffs=rhs.coeffs,
         lhs_eps2=lhs_eps2, rhs_eps2=rhs_eps2, eps2_rel_error=eps2_rel_error,
-        # the closed form -s: -0.0 at rest, where the series ratio reads 0.0
-        rejected_branch_ratio=-branch.alpha,
+        # -s itself: -0.0 at rest, where the flipped branch's ratio reads 0.0
+        rejected_branch_ratio=coeffs.alpha,
         checks=checks, passed=all(checks.values()), failures=tuple(failures),
     )

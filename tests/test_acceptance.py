@@ -88,10 +88,10 @@ def test_criterion_2_cross_term_and_rejected_branch():
             assert abs(coef_t - eta) <= 1e-12 * eta
             assert abs(coef_r - (-1.0 / eta)) <= 1e-12 / eta
         for k in range(1, 1000):
-            diag = check_rejected_branch(
+            ratio = check_rejected_branch(
                 solve_transform_coeffs(LineElementParams(v=k / 1000.0)))
-            assert diag.ratio < 0.0
-            assert diag.rejected
+            assert ratio < 0.0
+            assert ratio == -k / 1000.0
 
 
 def test_criterion_3_radar_oracle():

@@ -141,6 +141,27 @@ class TestOperatorCheck:
                        for r in r_grid[1:] for t in t_grid)
 
 
+CANONICAL = SeparableSolution.canonical(DecayModel(n0=1.0, tau=1.0))
+
+
+@pytest.mark.parametrize("check, match", [
+    (lambda: operator_check(CANONICAL, 0.5, 1.0, step=-1.0), "step"),
+    (lambda: operator_check(CANONICAL, 0.5, 1.0, step=math.nan), "step"),
+    (lambda: operator_check(CANONICAL, 0.5, math.nan), "time"),
+    (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), 1.0, step=0.0), "step"),
+    (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), math.nan), "time"),
+    (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), -1.0), "time"),
+    (lambda: ode_residual(CANONICAL.temporal, 1.0, math.inf), "step"),
+    (lambda: ode_residual(CANONICAL.temporal, 1.0, math.nan), "step"),
+    (lambda: ode_residual(CANONICAL.temporal, -1.0, 1e-4), "time"),
+], ids=["operator-negative-step", "operator-nan-step", "operator-nan-time",
+        "chain-zero-step", "chain-nan-time", "chain-negative-time",
+        "ode-inf-step", "ode-nan-step", "ode-negative-time"])
+def test_finite_difference_guard(check, match):
+    with pytest.raises(ValueError, match=f"^{match} must be"):
+        check()
+
+
 class TestDilatedLifetime:
     def test_rest(self):
         assert dilated_lifetime(2.0, LineElementParams(v=0.0)) == 2.0

@@ -1,6 +1,7 @@
 """Tests for the line-element derivation chain and velocity maps."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from lightclock.errors import PoleError, SuperluminalError
 from lightclock.infinitesimals import TruncatedHyper
 from lightclock.line_element import (
     LineElementParams,
+    TransformCoeffs,
     certify_derivation,
     check_rejected_branch,
     compose_velocities_additive_w,
@@ -114,31 +116,40 @@ def flipped_branch(**params):
     return check_rejected_branch(solve_transform_coeffs(LineElementParams(**params)))
 
 
+def branch_rejected(v, exact=False):
+    return certify_derivation(v, exact=exact).checks["rejected_branch_inconsistent"]
+
+
 class TestRejectedBranch:
     def test_negative_ratio_at_0_64(self):
-        diag = flipped_branch(v=0.6)
-        assert diag.ratio == pytest.approx(-0.6, rel=1e-15)
-        assert diag.rejected
+        ratio = flipped_branch(v=0.6)
+        assert ratio == pytest.approx(-0.6, rel=1e-15)
+        assert ratio < 0
+        assert branch_rejected(0.6)
 
     def test_negative_ratio_at_0_36(self):
-        diag = flipped_branch(v=0.8)
-        assert diag.ratio == pytest.approx(-0.8, rel=1e-15)
-        assert diag.rejected
+        ratio = flipped_branch(v=0.8)
+        assert ratio == pytest.approx(-0.8, rel=1e-15)
+        assert ratio < 0
+        assert branch_rejected(0.8)
 
     def test_branches_coincide_at_rest(self):
-        diag = flipped_branch(v=0.0)
-        assert diag.ratio == 0.0
-        assert not diag.rejected
+        ratio = flipped_branch(v=0.0)
+        assert ratio == 0.0
+        assert not ratio < 0
+        assert branch_rejected(0.0)  # at rest the check asks for ratio 0
 
     def test_exact_ratio_below_the_float_range(self):
         # s = 10**-400 is 0.0 as a float, yet the exact branch is rejected
-        diag = flipped_branch(v=Fraction(1, 10 ** 400), d=0, c=1)
-        assert diag.ratio == Fraction(-1, 10 ** 400)
-        assert diag.rejected
+        ratio = flipped_branch(v=Fraction(1, 10 ** 400), d=0, c=1)
+        assert ratio == Fraction(-1, 10 ** 400)
+        assert ratio < 0
+        assert branch_rejected(Fraction(1, 10 ** 400), exact=True)
 
     def test_flipped_branch_still_kills_cross_term(self):
-        diag = flipped_branch(v=math.sqrt(0.6))
-        _, cross, _ = expand_quadratic(diag.alpha, diag.beta)
+        tc = solve_transform_coeffs(LineElementParams(v=math.sqrt(0.6)))
+        flipped = TransformCoeffs(alpha=-tc.alpha, beta=-tc.beta, eta=tc.eta)
+        _, cross, _ = expand_quadratic(flipped.alpha, flipped.beta)
         assert abs(cross) <= 1e-12
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -152,9 +163,10 @@ class TestRejectedBranch:
         monkeypatch.setattr(line_element, "transform_differentials", sign_flipped_dT)
         report = certify_derivation(Fraction(3, 5), exact=exact)
         assert not report.checks["rejected_branch_inconsistent"]
+        assert not report.checks["velocity_ratio_recovered"]
         assert float(report.rejected_branch_ratio) == -0.6
-        assert any(line.startswith("rejected_branch_inconsistent: ")
-                   for line in report.failures)
+        for name in ("rejected_branch_inconsistent", "velocity_ratio_recovered"):
+            assert any(line.startswith(f"{name}: ") for line in report.failures)
 
 
 class TestExpandQuadratic:
@@ -183,6 +195,15 @@ class TestExpandQuadratic:
         assert sympy.simplify(cross) == 0
         assert sympy.simplify(coef_t - eta) == 0
         assert sympy.simplify(coef_r + 1 / eta) == 0
+
+    def test_symbolic_interval_certificate(self):
+        """The transformed isotropic interval is the dilated one, for all (v, d, c)."""
+        v, d, c = sympy.symbols("v d c", positive=True)
+        dr, dT = sympy.symbols("dr dT", real=True)
+        s = (v + d) / c
+        eta = 1 - s ** 2
+        drs, dTs = transform_differentials(TransformCoeffs(-s, s / eta, eta), dr, dT)
+        assert sympy.simplify(dTs ** 2 - drs ** 2 - (eta * dT ** 2 - dr ** 2 / eta)) == 0
 
 
 class TestTransformDifferentials:
@@ -234,6 +255,59 @@ class TestVelocityRatio:
         report = certify_derivation(v)
         assert report.checks["velocity_ratio_recovered"]
         assert -report.alpha == (v + 0.0) / 1.0
+
+
+def closed_form_ratio(coeffs, x):
+    """The hand-derived closed form velocity_ratio once was, kept as an oracle."""
+    s = -coeffs.alpha
+    denom = (s / coeffs.eta) * x + 1
+    if denom == 0:
+        raise PoleError(f"velocity ratio has a pole at dr_m/dT_m = {x}")
+    return (x / coeffs.eta + s) / denom
+
+
+def outcome(ratio, coeffs, x):
+    """The ratio's type and bits, or its PoleError message."""
+    try:
+        value = ratio(coeffs, x)
+    except PoleError as exc:
+        return "PoleError", str(exc)
+    if isinstance(value, float):
+        return "float", struct.pack("<d", value)
+    return type(value).__name__, value
+
+
+class TestVelocityRatioOracle:
+    """velocity_ratio, read from transform_differentials, has the closed form's bits."""
+
+    def test_float_bits(self):
+        rng = np.random.default_rng(20261018)
+        specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan,
+                    1e308, -1e308, 5e-324]
+        for i in range(3000):
+            v = float(rng.uniform(0, 0.999999))
+            tc = solve_transform_coeffs(LineElementParams(v=v))
+            if i % 3 == 0:
+                x = specials[i // 3 % len(specials)]
+            elif i % 3 == 1 and tc.alpha:
+                x = -tc.eta / -tc.alpha  # at or next to the pole
+            else:
+                x = float(rng.standard_normal()) * 10.0 ** int(rng.integers(-300, 300))
+            assert outcome(velocity_ratio, tc, x) == outcome(closed_form_ratio, tc, x)
+
+    def test_exact_fractions(self):
+        rng = np.random.default_rng(20261019)
+        for i in range(1000):
+            q = int(rng.integers(1, 10 ** 6))
+            tc = solve_transform_coeffs(LineElementParams(
+                v=Fraction(int(rng.integers(0, q)), q), d=0, c=1))
+            if i % 4 == 0 and tc.alpha:
+                x = -tc.eta / -tc.alpha  # the pole itself
+            else:
+                x = Fraction(int(rng.integers(-10 ** 6, 10 ** 6)), q)
+            expected = outcome(closed_form_ratio, tc, x)
+            assert outcome(velocity_ratio, tc, x) == expected
+            assert expected[0] in ("Fraction", "PoleError")
 
 
 class TestLineElements:
