@@ -13,6 +13,7 @@ Exits 3 and 4 say on stderr which check failed and by how much.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -22,8 +23,7 @@ from fractions import Fraction
 from numbers import Real
 from pathlib import Path
 
-import click
-
+from . import __version__
 from .decay import DEFAULT_TAU_BOUND, MAX_SAMPLES, compare_frames
 from .errors import LightClockError
 from .line_element import (
@@ -105,7 +105,7 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _cell(value) -> str:
@@ -127,16 +127,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-class _FiniteFloat(click.types.FloatParamType):
-    """Float flag type; NaN and infinities are rejected like any bad input."""
-
-    def convert(self, value, param, ctx):
-        return _check_finite(param.opts[0], super().convert(value, param, ctx))
-
-
-FINITE_FLOAT = _FiniteFloat()
-
-
 def _parse_rational(text: str, name: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -147,55 +137,12 @@ def _parse_rational(text: str, name: str) -> Fraction:
     return value
 
 
-class _Main(click.Group):
-    """The one place where a rejected input becomes exit 2 and one line."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (LightClockError, ValueError, OverflowError, OSError,
-                MemoryError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_PARAM)
-
-
-_c_option = click.option("--c", type=FINITE_FLOAT,
-                         help="Local light speed [config c, default 1].")
-_format_option = click.option("--format", type=click.Choice(["csv", "json"]),
-                              help="Output format [config format, default csv].")
-_out_option = click.option("--out", type=click.Path(dir_okay=False),
-                           help="Write output to this path instead of stdout.")
-
-
-@click.group(cls=_Main)
-@click.version_option(package_name="lightclock")
-def main():
-    """Light-clock kinematics toolkit.
-
-    Simulate radar (Einstein) measurements, certify the velocity-dependent
-    line-element derivation, tabulate the substratum velocity map, and
-    confirm lifetime dilation on seeded decay ensembles.
-
-    Set LIGHTCLOCK_CONFIG to a flat JSON file to change defaults.
-    """
-
-
-@main.command()
-@click.option("--x0", type=FINITE_FLOAT, default=0.0, show_default=True,
-              help="Reflector position at t = 0.")
-@click.option("--v", type=FINITE_FLOAT, default=0.0, show_default=True,
-              help="Reflector velocity; |v| must stay below c.")
-@click.option("--t1", "t1s", type=FINITE_FLOAT, multiple=True,
-              help="Emission time of one ping; repeat for several pings.")
-@_c_option
-@_format_option
-@_out_option
-def radar(x0, v, t1s, **flags):
+def radar(x0, v, t1, **flags):
     """Ping a uniformly moving reflector and print Einstein measures."""
     cfg = RunConfig.from_env(**flags)
-    if not t1s:
+    if not t1:
         raise ValueError("at least one --t1 emission time is required")
-    records = [simulate_ping(Reflector(x0=x0, v=v), t1, cfg.c) for t1 in t1s]
+    records = [simulate_ping(Reflector(x0=x0, v=v), t, cfg.c) for t in t1]
     if cfg.format == "json":
         payload = [
             {"t1": r.t1, "t3": r.t3, "c": r.c, "tE": r.t_E, "rE": r.r_E, "vE": r.v_E}
@@ -207,14 +154,6 @@ def radar(x0, v, t1s, **flags):
         _emit(_csv(["t1", "t3", "c", "tE", "rE", "vE"], rows), cfg.out)
 
 
-@main.command()
-@click.option("--v", required=True, help="Primary velocity.")
-@click.option("--d", default="0", show_default=True, help="Secondary velocity term.")
-@click.option("--c", default=None, help="Local light speed [config c, default 1].")
-@click.option("--exact", is_flag=True,
-              help="Certify over exact rationals at zero tolerance.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON report to this path instead of stdout.")
 def derive(v, d, c, exact, out):
     """Certify the line-element derivation chain at one (v, d, c)."""
     v_q = _parse_rational(v, "--v")
@@ -230,26 +169,10 @@ def derive(v, d, c, exact, out):
     _emit(_json_text(report.as_dict()), cfg.out)
     if not report.passed:
         for line in report.failures:
-            click.echo(f"certification check failed: {line}", err=True)
+            print(f"certification check failed: {line}", file=sys.stderr)
         sys.exit(EXIT_CERTIFICATION)
 
 
-@main.command()
-@click.option("--tau-s", type=FINITE_FLOAT, required=True,
-              help="Rest-frame mean lifetime.")
-@click.option("--v", type=FINITE_FLOAT, default=0.0, show_default=True,
-              help="Relative velocity of the decaying source.")
-@_c_option
-@click.option("--samples", type=int, default=100_000, show_default=True,
-              help=f"Lifetimes drawn per frame, 1..{MAX_SAMPLES}.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Unsigned 64-bit seed of the counter-based stream.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Threads over fixed 2^20-sample blocks, capped at the CPU "
-                   "count; memory is O(threads x 8 MiB) and the report is "
-                   "identical for any value.")
-@_format_option
-@_out_option
 def decay(tau_s, v, samples, seed, workers, **flags):
     """Compare rest- and moving-frame decay ensembles against 1/gamma."""
     cfg = RunConfig.from_env(**flags)
@@ -263,21 +186,12 @@ def decay(tau_s, v, samples, seed, workers, **flags):
     else:
         _emit(_csv(list(report), [list(report.values())]), cfg.out)
     if not abs(comparison.z_score) <= Z_GATE:
-        click.echo(f"dilation check failed: z = {comparison.z_score!r} is outside "
-                   f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
-                   f"tau_hat_m = {comparison.tau_hat_m!r}", err=True)
+        print(f"dilation check failed: z = {comparison.z_score!r} is outside "
+              f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
+              f"tau_hat_m = {comparison.tau_hat_m!r}", file=sys.stderr)
         sys.exit(EXIT_STATISTICAL)
 
 
-@main.command()
-@click.option("--vmax", type=FINITE_FLOAT, required=True,
-              help="Largest tabulated velocity; must stay below c.")
-@click.option("--steps", type=int, default=100, show_default=True,
-              help=f"Number of equal increments from 0 to vmax, 1..{MAX_STEPS}.")
-@_c_option
-@click.option("--alternate", is_flag=True,
-              help="Add the textbook hyperbolic-angle column for comparison.")
-@_out_option
 def velmap(vmax, steps, alternate, **flags):
     """Tabulate the substratum velocity map w(v) as CSV."""
     cfg = RunConfig.from_env(**flags)
@@ -296,6 +210,220 @@ def velmap(vmax, steps, alternate, **flags):
             row.append(standard_rapidity(vi, cfg.c))
         rows.append(row)
     _emit(_csv(header, rows), cfg.out)
+
+
+def _number(kind, flag: str, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"argument {flag}: invalid {kind.__name__} value: "
+                         f"{text!r}") from None
+
+
+def _finite_float(flag: str, text: str) -> float:
+    return _check_finite(flag, _number(float, flag, text))
+
+
+def _integer(flag: str, text: str) -> int:
+    return _number(int, flag, text)
+
+
+def _text(flag: str, text: str) -> str:
+    return text
+
+
+def _path(flag: str, text: str) -> str:
+    # checked up front, so that no work is done for an output that must fail
+    if os.path.isdir(text):
+        raise ValueError(f"argument {flag}: {text!r} is a directory")
+    return text
+
+
+def _format(flag: str, text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"argument {flag}: invalid choice: {text!r} "
+                         "(choose from 'csv', 'json')")
+    return text
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One flag of one command.  ``convert`` is None for an on/off flag."""
+
+    flag: str
+    convert: object
+    help: str
+    default: object = None
+    required: bool = False
+    multiple: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+_C = _Option("--c", _finite_float, "Local light speed [config c, default 1].")
+_FORMAT = _Option("--format", _format, "Output format [config format, default csv].")
+_OUT = _Option("--out", _path, "Write output to this path instead of stdout.")
+
+_COMMANDS = {
+    "radar": (radar, (
+        _Option("--x0", _finite_float, "Reflector position at t = 0.", 0.0),
+        _Option("--v", _finite_float, "Reflector velocity; |v| must stay below c.", 0.0),
+        _Option("--t1", _finite_float,
+                "Emission time of one ping; repeat for several pings.", multiple=True),
+        _C, _FORMAT, _OUT)),
+    "derive": (derive, (
+        _Option("--v", _text, "Primary velocity.", required=True),
+        _Option("--d", _text, "Secondary velocity term.", "0"),
+        _Option("--c", _text, _C.help),
+        _Option("--exact", None, "Certify over exact rationals at zero tolerance."),
+        _Option("--out", _path, "Write the JSON report to this path instead of stdout."))),
+    "decay": (decay, (
+        _Option("--tau-s", _finite_float, "Rest-frame mean lifetime.", required=True),
+        _Option("--v", _finite_float, "Relative velocity of the decaying source.", 0.0),
+        _C,
+        _Option("--samples", _integer, f"Lifetimes drawn per frame, 1..{MAX_SAMPLES}.",
+                100_000),
+        _Option("--seed", _integer, "Unsigned 64-bit seed of the counter-based stream.", 0),
+        _Option("--workers", _integer,
+                "Threads over fixed 2^20-sample blocks, capped at the CPU count; "
+                "memory is O(threads x 8 MiB) and the report is identical for "
+                "any value.", 1),
+        _FORMAT, _OUT)),
+    "velmap": (velmap, (
+        _Option("--vmax", _finite_float, "Largest tabulated velocity; must stay below c.",
+                required=True),
+        _Option("--steps", _integer,
+                f"Number of equal increments from 0 to vmax, 1..{MAX_STEPS}.", 100),
+        _C,
+        _Option("--alternate", None,
+                "Add the textbook hyperbolic-angle column for comparison."),
+        _OUT)),
+}
+_METAVARS = {_finite_float: "FLOAT", _integer: "INTEGER", _text: "TEXT",
+             _path: "PATH", _format: "{csv,json}"}
+_VALUE_FLAGS = frozenset(opt.flag for _, options in _COMMANDS.values()
+                         for opt in options if opt.convert)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors join every other rejected input at the exit-2 boundary of main."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+class _Given(argparse.Action):
+    """Collect (flag, text) of each value option in command-line order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # argparse strips a "--" value, even one given as --v=--, to []
+        namespace.given += ((option_string, "--" if values == [] else values),)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(
+        prog="lightclock", add_help=False, allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Light-clock kinematics toolkit.\n\n"
+                    "Simulate radar (Einstein) measurements, certify the velocity-\n"
+                    "dependent line-element derivation, tabulate the substratum\n"
+                    "velocity map, and confirm lifetime dilation on seeded decay\n"
+                    "ensembles.\n\n"
+                    f"Set {ENV_CONFIG} to a flat JSON file to change defaults.")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s {__version__}",
+                        help="Show the version and exit.")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True,
+                                     metavar="COMMAND")
+    for name, (run, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  add_help=False, allow_abbrev=False)
+        for opt in options:
+            text = opt.help
+            if opt.required:
+                text += " [required]"
+            elif opt.default is not None:
+                text += f" [default: {opt.default}]"
+            if opt.convert is None:
+                sub.add_argument(opt.flag, action="store_true", help=text)
+            else:
+                sub.add_argument(opt.flag, action=_Given, dest="given", default=(),
+                                 metavar=_METAVARS[opt.convert], help=text)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _click_argv(argv: list[str]) -> list[str]:
+    """``argv`` read as the earlier click front end read it, rewritten so
+    that argparse agrees.
+
+    A value option takes the next token even when that starts with "-"
+    (``--v -1e-05``), so the two are joined as ``--v=-1e-05``.  "--" ends
+    the options: after the command, every later token is an extra argument;
+    before the command, or as the last token, it is dropped.
+    """
+    out, i = [], 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":
+            if any(not t.startswith("-") for t in out) and i < len(argv):
+                return out + argv[i - 1:]
+            continue
+        if token in _VALUE_FLAGS and i < len(argv):
+            token = f"{token}={argv[i]}"
+            i += 1
+        out.append(token)
+    return out
+
+
+def _arguments(ns: argparse.Namespace, options) -> dict:
+    """Each option's value, converted as the click front end converted them:
+    in the order of first appearance on the command line, then the others in
+    declared order, so the first bad value is the one reported.  The last of
+    a repeated option wins, and the texts it overrides are never converted."""
+    given = ns.given
+    rank = {flag: i for i, flag in enumerate(dict.fromkeys(f for f, _ in given))}
+    values = {}
+    for opt in sorted(options, key=lambda o: rank.get(o.flag, len(rank))):
+        texts = [text for flag, text in given if flag == opt.flag]
+        if opt.convert is None:
+            value = getattr(ns, opt.key)
+        elif opt.multiple:
+            value = tuple(opt.convert(opt.flag, text) for text in texts)
+        elif texts:
+            value = opt.convert(opt.flag, texts[-1])
+        elif opt.required:
+            raise ValueError(f"the following arguments are required: {opt.flag}")
+        else:
+            value = opt.default
+        values[opt.key] = value
+    return values
+
+
+def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> None:
+    """Run one command.  Returns None on success and raises ``SystemExit``
+    with the exit code otherwise; ``--help`` and ``--version`` exit 0.
+
+    This is the one place where a rejected input becomes exit 2 and one
+    ``error:`` line on stderr.  ``standalone_mode`` is accepted for callers
+    written against the earlier click front end, and ignored.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    try:
+        ns = _PARSER.parse_args(_click_argv(args))
+        run, options = _COMMANDS[ns.command]
+        run(**_arguments(ns, options))
+    except (LightClockError, ValueError, OverflowError, OSError,
+            MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_PARAM)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -99,15 +100,27 @@ def _ddt_forward3(f, t: float, h: float) -> float:
 
 
 def _ddt(f, t: float, h: float, boundary) -> float:
-    """df/dt at t >= 0 by central differences, or ``boundary`` within h of 0.
+    """df/dt at finite t >= 0 by central differences, or ``boundary`` within
+    h of 0.
 
-    The one guard of the finite-difference checks; negated, so NaN fails it.
+    The guard of time and step in the finite-difference checks; negated, so
+    NaN fails it.
     """
-    if not t >= 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     if not 0 < h < math.inf:
         raise ValueError(f"step must be positive and finite, got {h}")
     return _ddt_central(f, t, h) if t >= h else boundary(f, t, h)
+
+
+def _probe_population(n: float, t: float) -> float:
+    """N(t) at the probe of a check.  Where N(t) is zero or subnormal, both
+    sides of the check round to about 0 and it could not fail, so such a
+    probe is rejected."""
+    if not abs(n) >= sys.float_info.min:
+        raise ValueError(f"population must be a normal float at the probe, "
+                         f"got N({t}) = {n!r}")
+    return n
 
 
 def ode_residual(model: DecayModel, t: float, step: float) -> float:
@@ -118,7 +131,7 @@ def ode_residual(model: DecayModel, t: float, step: float) -> float:
     only O(step) there.
     """
     deriv = _ddt(lambda x: population(model, x), t, step, _ddt_forward)
-    return population(model, t) + model.tau * deriv
+    return _probe_population(population(model, t), t) + model.tau * deriv
 
 
 @dataclass(frozen=True)
@@ -160,7 +173,7 @@ def operator_check(sol: SeparableSolution, r: float, t: float,
     """
     h = step if step is not None else FD_STEP_FACTOR * sol.temporal.tau
     deriv = _ddt(lambda x: sol.field(r, x), t, h, _ddt_forward3)
-    operator_image = population(sol.temporal, t)
+    operator_image = _probe_population(population(sol.temporal, t), t)
     return abs(operator_image - sol.k * deriv) <= tol
 
 
@@ -195,7 +208,7 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     h = step if step is not None else FD_STEP_FACTOR * tau_m
     nbar = lambda x: n0 * math.exp(-x / tau_m)
     deriv = _ddt(nbar, t_probe / gamma, h, _ddt_forward3)
-    lhs = n0 * math.exp(-t_probe / tau_s)
+    lhs = _probe_population(n0 * math.exp(-t_probe / tau_s), t_probe)
     rhs = (-tau_s / gamma) * deriv
     return abs(lhs - rhs) <= tol * abs(lhs)
 

@@ -10,9 +10,8 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from lightclock.cli import ENV_CONFIG, main
+from lightclock.cli import ENV_CONFIG
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.txt"
 
@@ -37,9 +36,8 @@ CASES = load_cases()
 
 @pytest.mark.parametrize("argv, exit_code, stdout", CASES,
                          ids=[" ".join(argv) for argv, _, _ in CASES])
-def test_cli_output_is_pinned(argv, exit_code, stdout):
-    result = CliRunner().invoke(main, argv, env={ENV_CONFIG: None},
-                                catch_exceptions=False)
+def test_cli_output_is_pinned(cli, argv, exit_code, stdout):
+    result = cli(argv, env={ENV_CONFIG: None})
     assert (result.exit_code, result.stdout) == (exit_code, stdout)
 
 

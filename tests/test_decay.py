@@ -142,6 +142,8 @@ class TestOperatorCheck:
 
 
 CANONICAL = SeparableSolution.canonical(DecayModel(n0=1.0, tau=1.0))
+NON_UNIT = SeparableSolution(spatial_coeffs=(1.0, 0.0, 1.0), temporal=CANONICAL.temporal,
+                             k=-1.0)
 
 
 @pytest.mark.parametrize("check, match", [
@@ -154,9 +156,22 @@ CANONICAL = SeparableSolution.canonical(DecayModel(n0=1.0, tau=1.0))
     (lambda: ode_residual(CANONICAL.temporal, 1.0, math.inf), "step"),
     (lambda: ode_residual(CANONICAL.temporal, 1.0, math.nan), "step"),
     (lambda: ode_residual(CANONICAL.temporal, -1.0, 1e-4), "time"),
+    # each of these returned a pass: N(t) rounds to 0 on both sides
+    (lambda: ode_residual(CANONICAL.temporal, math.inf, 1e-4), "time"),
+    (lambda: ode_residual(CANONICAL.temporal, 1e6, 1e-4), "population"),
+    (lambda: operator_check(NON_UNIT, 3.7, math.inf), "time"),
+    (lambda: operator_check(NON_UNIT, 3.7, 1e6), "population"),
+    # N(t) = exp(-740) is subnormal
+    (lambda: operator_check(NON_UNIT, 3.7, 740.0), "population"),
+    (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), math.inf, tau_m=0.8),
+     "time"),
+    (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), 1e6, tau_m=0.8),
+     "population"),
 ], ids=["operator-negative-step", "operator-nan-step", "operator-nan-time",
         "chain-zero-step", "chain-nan-time", "chain-negative-time",
-        "ode-inf-step", "ode-nan-step", "ode-negative-time"])
+        "ode-inf-step", "ode-nan-step", "ode-negative-time",
+        "ode-inf-time", "ode-underflow", "operator-inf-time", "operator-underflow",
+        "operator-subnormal", "chain-inf-time", "chain-underflow"])
 def test_finite_difference_guard(check, match):
     with pytest.raises(ValueError, match=f"^{match} must be"):
         check()

@@ -1,5 +1,5 @@
-"""Import graph: only the decay path loads numpy, and the thread pool only
-when more than one thread runs.
+"""Import graph: only the decay path loads numpy, the thread pool only when
+more than one thread runs, and no command loads click.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy.  No timing is asserted, only which modules got loaded.
@@ -13,19 +13,22 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-HEAVY = ("numpy", "concurrent.futures")
+HEAVY = ("numpy", "concurrent.futures", "click")
 
 CHILD = """
 import sys
 {body}
 loaded = [m for m in {heavy!r} if m in sys.modules]
 assert loaded == {expected!r}, f"loaded {{loaded}}, expected {expected!r}"
+print("modules checked")
 """
 
 CLI_BODY = """
 from lightclock.cli import main
-code = main({argv!r}, standalone_mode=False)
-assert code in (0, None), code
+try:
+    main({argv!r})
+except SystemExit as exc:  # --help and --version exit 0 this way
+    assert exc.code == 0, exc.code
 """
 
 LEAN_ARGVS = {
@@ -35,6 +38,7 @@ LEAN_ARGVS = {
                    "--format", "json"],
     "velmap": ["velmap", "--vmax", "0.9", "--steps", "9", "--alternate"],
     "help": ["--help"],
+    "version": ["--version"],
 }
 
 
@@ -45,6 +49,8 @@ def run_child(body: str, expected: list) -> None:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # a child that exits early, e.g. through SystemExit(0), checks nothing
+    assert proc.stdout.endswith("modules checked\n"), proc.stdout
 
 
 def test_package_import_is_lean():
