@@ -169,12 +169,13 @@ def operator_check(sol: SeparableSolution, r: float, t: float,
     on the actual field ``h(r) * N(t)`` by finite differences (second-order
     one-sided at the t = 0 boundary).  A solution whose spatial factor is
     not identically 1 therefore fails away from the roots of ``h(r) = 1``.
-    The absolute tolerance assumes populations of order unity.
+    The tolerance is relative to ``|N(t)|``, so the check is as strict for
+    a tiny population as for one of order unity.
     """
     h = step if step is not None else FD_STEP_FACTOR * sol.temporal.tau
     deriv = _ddt(lambda x: sol.field(r, x), t, h, _ddt_forward3)
     operator_image = _probe_population(population(sol.temporal, t), t)
-    return abs(operator_image - sol.k * deriv) <= tol
+    return abs(operator_image - sol.k * deriv) <= tol * abs(operator_image)
 
 
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:

@@ -13,6 +13,7 @@ import pytest
 
 import lightclock
 from lightclock import cli as cli_module
+from lightclock import decay as decay_module
 from lightclock.line_element import certify_derivation
 from lightclock.schemas import load_schema
 
@@ -172,12 +173,12 @@ class TestDecayCommand:
         args = ["decay", "--tau-s", "1", "--v", "0.6", "--samples", "1000",
                 "--seed", "3", "--format", "json"]
         passed = cli(args)
-        real = cli_module.compare_frames
+        real = decay_module.compare_frames
 
         def off_by_six_sigma(*a, **kw):
             return dataclasses.replace(real(*a, **kw), z_score=-6.5)
 
-        monkeypatch.setattr(cli_module, "compare_frames", off_by_six_sigma)
+        monkeypatch.setattr(decay_module, "compare_frames", off_by_six_sigma)
         result = cli(args)
         report = json.loads(passed.stdout)
         assert result.exit_code == 3
@@ -209,7 +210,7 @@ class TestDecayCommand:
                             load_schema("decay_report"))
 
     def test_out_directory_rejected_before_drawing(self, cli, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli_module, "compare_frames", None)  # never reached
+        monkeypatch.setattr(decay_module, "compare_frames", None)  # never reached
         result = cli(["decay", "--tau-s", "1", "--out", str(tmp_path)])
         assert_rejected(result)
         assert result.stderr == f"error: argument --out: {str(tmp_path)!r} is a directory\n"
@@ -341,6 +342,11 @@ class TestHelpAndErrors:
         assert result.stdout.startswith(f"usage: lightclock {cmd} ")
         for flag in self.FLAGS[cmd] + ["--help"]:
             assert re.search(rf"^  {flag}\b", result.stdout, re.M), flag
+
+    def test_decay_help_states_the_sample_cap(self, cli):
+        # a literal in cli, so that building the parser never imports decay
+        help_text = " ".join(cli(["decay", "--help"]).stdout.split())
+        assert f"Lifetimes drawn per frame, 1..{decay_module.MAX_SAMPLES}." in help_text
 
     def test_version(self, cli):
         result = cli(["--version"])

@@ -128,6 +128,14 @@ class TestOperatorCheck:
                                 k=-model.tau)
         assert operator_check(bad, 0.0, 2.0)  # r = 0 is the root of h(r) = 1
 
+    def test_nonunit_spatial_factor_fails_at_a_tiny_population(self):
+        # N(600) = 2.65e-261: an absolute tolerance passed it vacuously
+        model = DecayModel(n0=1.0, tau=1.0)
+        bad = SeparableSolution(spatial_coeffs=(1.0, 0.0, 1.0), temporal=model,
+                                k=-model.tau)
+        assert not operator_check(bad, 3.7, 600.0)
+        assert operator_check(SeparableSolution.canonical(model), 3.7, 600.0)
+
     def test_grid_sweep_with_negative_control(self):
         for tau in (0.5, 1.0, 3.0):
             model = DecayModel(n0=1.0, tau=tau)
