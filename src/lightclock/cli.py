@@ -291,9 +291,10 @@ _COMMANDS = {
         _Option("--samples", _integer, "Lifetimes drawn per frame, 1..1000000000.",
                 100_000),
         _Option("--seed", _integer, "Unsigned 64-bit seed of the counter-based stream.", 0),
+        # 2^17 is decay.BLOCK, spelled out for the same reason
         _Option("--workers", _integer,
-                "Threads over fixed 2^20-sample blocks, capped at the CPU count; "
-                "memory is O(threads x 8 MiB) and the report is identical for "
+                "Threads over fixed 2^17-sample blocks, capped at the CPU count; "
+                "memory is O(threads x 1 MiB) and the report is identical for "
                 "any value.", 1),
         _FORMAT, _OUT)),
     "velmap": (velmap, (

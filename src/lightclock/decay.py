@@ -15,9 +15,10 @@ seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 ``-tau * ln(1 - U)`` from a counter-based uniform stream (Philox keyed by
 the seed, sample index = stream position), streamed in blocks of at most
 ``BLOCK`` samples, the leaves of numpy's pairwise summation tree.  Threads,
-capped at the CPU count and the block count, each hold one block at a time,
-so memory is O(threads * 8 MiB) and a run is bit-identical for a fixed
-(tau, samples, seed) whatever the number of workers.
+capped at the CPU count and the block count, take a few subtrees each and
+hold one block at a time, so memory is O(threads * 1 MiB) and a run is
+bit-identical for a fixed (tau, samples, seed) whatever the number of
+workers.
 
 Only the ensemble engine imports numpy, and the thread pool only when more
 than one thread runs, so importing lightclock and the derive, radar and
@@ -42,11 +43,12 @@ FD_STEP_FACTOR = 1e-4
 OPERATOR_TOL = 1e-8
 
 # Largest ensemble run_ensemble draws, the same on every host whatever its
-# memory: about 8.5 s per ensemble at two threads on a 2-CPU Xeon.
+# memory: about 7 s per ensemble at two threads on a 2-CPU Xeon.
 MAX_SAMPLES = 10 ** 9
 # Leaf size of the streaming sum, in samples: a thread holds one leaf of
-# 8 * BLOCK bytes at a time, so memory is O(threads * 8 MiB) for any M.
-BLOCK = 2 ** 20
+# 8 * BLOCK bytes at a time, so memory is O(threads * 1 MiB) for any M, and
+# a leaf fits in one core's L2 cache.
+BLOCK = 2 ** 17
 # Philox emits 4 64-bit words per counter increment; leaf starts must sit
 # on whole counter blocks for Philox.advance to land on them.
 _PHILOX_BLOCK = 4
@@ -214,17 +216,20 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     return abs(lhs - rhs) <= tol * abs(lhs)
 
 
-def _pairwise(lo: int, n: int, leaf):
-    """numpy's pairwise sum of items [lo, lo + n), ``leaf(start, size)`` per leaf.
+def _pairwise(lo: int, n: int, leaf, node: int = 0):
+    """numpy's pairwise sum of items [lo, lo + n), ``leaf(start, size)`` per
+    node of at most ``max(node, BLOCK)`` items.
 
     numpy halves a contiguous float64 array at ``n//2 - (n//2) % 8``, so the
     same split down to ``BLOCK`` items gives ``np.sum`` of it bit for bit,
-    and every leaf starts on a multiple of 8, a Philox counter block.
+    and every leaf starts on a multiple of 8, a Philox counter block.  A
+    larger ``node`` stops the split at subtrees: summed on their own and
+    added through the same top, they give the same bits.
     """
-    if n <= BLOCK:
+    if n <= max(node, BLOCK):
         return leaf(lo, n)
     half = n // 2 - n // 2 % 8
-    return _pairwise(lo, half, leaf) + _pairwise(lo + half, n - half, leaf)
+    return _pairwise(lo, half, leaf, node) + _pairwise(lo + half, n - half, leaf, node)
 
 
 def _leaf_lifetimes(tau: float, seed: int, start: int, size: int) -> np.ndarray:
@@ -248,20 +253,24 @@ def _leaf_lifetimes(tau: float, seed: int, start: int, size: int) -> np.ndarray:
 def _keyed_sum(tau: float, seed: int, n: int, workers: int) -> float:
     """Sum of the first n lifetimes of the stream, as ``np.sum`` of all gives.
 
-    ``min(workers, leaves, cpu_count)`` threads, and no pool for one.
+    ``min(workers, leaves, cpu_count)`` threads, and no pool for one.  A pool
+    gets about 8 subtree tasks per thread, each summed leaf by leaf in one
+    thread, so it holds O(threads) futures whatever n is.
     """
     def leaf_sum(lo, size):
         return float(_leaf_lifetimes(tau, seed, lo, size).sum(initial=0.0))
 
-    leaves = _pairwise(0, n, lambda lo, size: [(lo, size)])
-    threads = min(workers, len(leaves), os.cpu_count() or 1)
+    leaves = _pairwise(0, n, lambda lo, size: 1)
+    threads = min(workers, leaves, os.cpu_count() or 1)
     if threads == 1:
         return _pairwise(0, n, leaf_sum)
     from concurrent.futures import ThreadPoolExecutor
 
+    node = n // (8 * threads)
+    tasks = _pairwise(0, n, lambda lo, size: [(lo, size)], node)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        sums = dict(zip(leaves, pool.map(lambda leaf: leaf_sum(*leaf), leaves)))
-    return _pairwise(0, n, lambda lo, size: sums[lo, size])
+        sums = dict(zip(tasks, pool.map(lambda task: _pairwise(*task, leaf_sum), tasks)))
+    return _pairwise(0, n, lambda lo, size: sums[lo, size], node)
 
 
 @dataclass(frozen=True)

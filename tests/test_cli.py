@@ -348,6 +348,14 @@ class TestHelpAndErrors:
         help_text = " ".join(cli(["decay", "--help"]).stdout.split())
         assert f"Lifetimes drawn per frame, 1..{decay_module.MAX_SAMPLES}." in help_text
 
+    def test_decay_help_states_the_block_size(self, cli):
+        # literals in cli too; spaces dropped, since argparse may wrap at the hyphen
+        block = decay_module.BLOCK
+        assert block == 2 ** (block.bit_length() - 1)
+        expected = (f"Threads over fixed 2^{block.bit_length() - 1}-sample blocks, capped "
+                    f"at the CPU count; memory is O(threads x {8 * block // 2 ** 20} MiB)")
+        assert "".join(expected.split()) in "".join(cli(["decay", "--help"]).stdout.split())
+
     def test_version(self, cli):
         result = cli(["--version"])
         assert (result.exit_code, result.stdout, result.stderr) == \

@@ -39,6 +39,32 @@ def full_buffer_mean(tau, m, seed):
     return float(out.mean())
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run the engine's thread pool inline, recording each pool's thread
+    count and how many items it maps."""
+    record = {"threads": [], "items": []}
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            record["threads"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            record["items"].append(len(items))
+            return map(fn, items)
+
+    # the engine imports the pool at call time, so patch it at its source
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
+    return record
+
+
 class TestDecayModel:
     def test_invalid_population(self):
         with pytest.raises(ValueError):
@@ -299,43 +325,44 @@ class TestRunEnsemble:
             assert base == split
 
     @pytest.mark.parametrize("workers", [1, 3, 10 ** 6])
-    def test_thread_count_capped_at_cpu_count(self, monkeypatch, workers):
-        requested = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
+    def test_thread_count_capped_at_cpu_count(self, inline_pool, workers):
         m = 2 * BLOCK + 8  # three leaves: BLOCK, BLOCK / 2, BLOCK / 2 + 8
         base = run_ensemble(1.0, m, 0, workers=1)
-        # the engine imports the pool at call time, so patch it at its source
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
         capped = run_ensemble(1.0, m, 0, workers=workers)
         cap = min(workers, 3, os.cpu_count() or 1)
         # one thread runs inline, without a pool
-        assert requested == ([] if cap == 1 else [cap])
+        assert inline_pool["threads"] == ([] if cap == 1 else [cap])
         assert base == capped
+
+    @pytest.mark.parametrize("block", [2 ** 10, 2 ** 17, 2 ** 20])
+    def test_leaf_and_task_size_move_no_bit(self, monkeypatch, block):
+        # _pairwise reads BLOCK at call time; tasks are sized from it
+        monkeypatch.setattr("lightclock.decay.BLOCK", block)
+        for m in (2 * block + 8, 3145733):
+            expected = full_buffer_mean(3.0, m, 42)
+            for workers in (1, 2, 3):
+                assert run_ensemble(3.0, m, 42, workers=workers).tau_hat == expected
+
+    def test_pool_bookkeeping_is_bounded_by_threads(self, monkeypatch, inline_pool):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        # the sums are not under test: one zero per leaf runs in milliseconds
+        monkeypatch.setattr("lightclock.decay._leaf_lifetimes", lambda *leaf: np.zeros(1))
+        assert run_ensemble(1.0, MAX_SAMPLES, 0, workers=2).tau_hat == 0.0
+        # 8192 leaves, but a few subtree tasks per thread
+        assert inline_pool["threads"] == [2]
+        assert 0 < inline_pool["items"][0] <= 16 * 2
 
     def test_memory_bounded_by_threads_times_block(self):
         threads = min(2, os.cpu_count() or 1)
         # warm: the first call also imports the thread pool
-        run_ensemble(1.0, 4 * BLOCK, 0, workers=2)
+        run_ensemble(1.0, 64 * BLOCK, 0, workers=2)
         tracemalloc.start()
         try:
-            run_ensemble(1.0, 4 * BLOCK, 0, workers=2)
+            run_ensemble(1.0, 64 * BLOCK, 0, workers=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a full buffer would be 32 MiB; each thread holds one 8 MiB leaf
+        # a full buffer would be 64 MiB; each thread holds one 1 MiB leaf
         assert peak <= threads * 8 * BLOCK + 2 ** 20
 
     def test_ensemble_beyond_sample_cap_rejected(self, monkeypatch):

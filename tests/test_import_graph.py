@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import lightclock
+from lightclock.decay import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -124,8 +125,8 @@ def test_single_block_decay_loads_numpy_only():
 
 
 def test_decay_command_loads_both():
-    # two blocks of 2^20 samples and two workers: a pool, where two CPUs exist
-    argv = ["decay", "--tau-s", "1", "--samples", str(2 ** 21 + 8), "--seed", "1",
+    # more than one leaf and two workers: a pool, where two CPUs exist
+    argv = ["decay", "--tau-s", "1", "--samples", str(2 * BLOCK + 8), "--seed", "1",
             "--workers", "2"]
     pool = ["concurrent.futures"] if (os.cpu_count() or 1) > 1 else []
     run_child(CLI_BODY.format(argv=argv), ["numpy"] + pool, COMMAND_MODULES["decay"])
