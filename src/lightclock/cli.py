@@ -10,13 +10,12 @@ Exit codes: 0 success, 2 parameter or config error, 3 statistical
 acceptance failure (decay z-score gate), 4 internal certification failure.
 Exits 3 and 4 say on stderr which check failed and by how much.
 
-Each command imports the library modules it runs when it runs, so parsing
-an argv, ``--help`` and ``--version`` load none of them.
+Each command imports the library modules it runs when it runs.  ``_read``
+(the argv, in one pass) and ``_help`` both work from one table, ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -122,16 +121,6 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _parse_rational(text: str, name: str) -> Fraction:
-    try:
-        value = Fraction(text)
-        float(value)  # every report field is a float
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"{name} must be a finite number (decimal or p/q), "
-                         f"got {text!r}") from None
-    return value
-
-
 def radar(x0, v, t1, **flags):
     """Ping a uniformly moving reflector and print Einstein measures."""
     from .radar import Reflector, simulate_ping
@@ -155,15 +144,12 @@ def derive(v, d, c, exact, out):
     """Certify the line-element derivation chain at one (v, d, c)."""
     from .line_element import certify_derivation
 
-    v_q = _parse_rational(v, "--v")
-    d_q = _parse_rational(d, "--d")
-    c_flag = _parse_rational(c, "--c") if c is not None else None
-    cfg = RunConfig.from_env(c=c_flag, out=out)
+    cfg = RunConfig.from_env(c=c, out=out)
     c_q = Fraction(cfg.c)
     if exact:
-        report = certify_derivation(v_q, d_q, c_q, exact=True)
+        report = certify_derivation(v, d, c_q, exact=True)
     else:
-        report = certify_derivation(float(v_q), float(d_q), float(c_q),
+        report = certify_derivation(float(v), float(d), float(c_q),
                                     tol=cfg.tolerance)
     _emit(_json_text(report.as_dict()), cfg.out)
     if not report.passed:
@@ -232,8 +218,14 @@ def _integer(flag: str, text: str) -> int:
     return _number(int, flag, text)
 
 
-def _text(flag: str, text: str) -> str:
-    return text
+def _rational(flag: str, text: str) -> Fraction:
+    try:
+        value = Fraction(text)
+        float(value)  # every report field is a float
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{flag} must be a finite number (decimal or p/q), "
+                         f"got {text!r}") from None
+    return value
 
 
 def _path(flag: str, text: str) -> str:
@@ -278,16 +270,16 @@ _COMMANDS = {
                 "Emission time of one ping; repeat for several pings.", multiple=True),
         _C, _FORMAT, _OUT)),
     "derive": (derive, (
-        _Option("--v", _text, "Primary velocity.", required=True),
-        _Option("--d", _text, "Secondary velocity term.", "0"),
-        _Option("--c", _text, _C.help),
+        _Option("--v", _rational, "Primary velocity.", required=True),
+        _Option("--d", _rational, "Secondary velocity term.", Fraction(0)),
+        _Option("--c", _rational, _C.help),
         _Option("--exact", None, "Certify over exact rationals at zero tolerance."),
         _Option("--out", _path, "Write the JSON report to this path instead of stdout."))),
     "decay": (decay, (
         _Option("--tau-s", _finite_float, "Rest-frame mean lifetime.", required=True),
         _Option("--v", _finite_float, "Relative velocity of the decaying source.", 0.0),
         _C,
-        # decay.MAX_SAMPLES, spelled out so that the parser never imports decay
+        # decay.MAX_SAMPLES, spelled out so that reading an argv never imports decay
         _Option("--samples", _integer, "Lifetimes drawn per frame, 1..1000000000.",
                 100_000),
         _Option("--seed", _integer, "Unsigned 64-bit seed of the counter-based stream.", 0),
@@ -307,110 +299,99 @@ _COMMANDS = {
                 "Add the textbook hyperbolic-angle column for comparison."),
         _OUT)),
 }
-_METAVARS = {_finite_float: "FLOAT", _integer: "INTEGER", _text: "TEXT",
+_METAVARS = {_finite_float: "FLOAT", _integer: "INTEGER", _rational: "TEXT",
              _path: "PATH", _format: "{csv,json}"}
-_VALUE_FLAGS = frozenset(opt.flag for _, options in _COMMANDS.values()
-                         for opt in options if opt.convert)
+_HELP = "Show this message and exit."
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors join every other rejected input at the exit-2 boundary of main."""
-
-    def error(self, message):
-        raise ValueError(message)
-
-
-class _Given(argparse.Action):
-    """Collect (flag, text) of each value option in command-line order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        # argparse strips a "--" value, even one given as --v=--, to []
-        namespace.given += ((option_string, "--" if values == [] else values),)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
-        prog="lightclock", add_help=False, allow_abbrev=False,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        description="Light-clock kinematics toolkit.\n\n"
-                    "Simulate radar (Einstein) measurements, certify the velocity-\n"
-                    "dependent line-element derivation, tabulate the substratum\n"
-                    "velocity map, and confirm lifetime dilation on seeded decay\n"
-                    "ensembles.\n\n"
-                    f"Set {ENV_CONFIG} to a flat JSON file to change defaults.")
-    parser.add_argument("--help", action="help", help="Show this message and exit.")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}",
-                        help="Show the version and exit.")
-    commands = parser.add_subparsers(title="commands", dest="command", required=True,
-                                     metavar="COMMAND")
-    for name, (run, options) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
-                                  add_help=False, allow_abbrev=False)
+def _help(name: str | None) -> str:
+    """The ``--help`` text of one command, or of lightclock for None."""
+    if name is None:
+        usage = "[--help] [--version] COMMAND ..."
+        about = ("Light-clock kinematics toolkit.\n\n"
+                 "Simulate radar (Einstein) measurements, certify the velocity-\n"
+                 "dependent line-element derivation, tabulate the substratum\n"
+                 "velocity map, and confirm lifetime dilation on seeded decay\n"
+                 "ensembles.\n\n"
+                 f"Set {ENV_CONFIG} to a flat JSON file to change defaults.")
+        sections = {"options": [("--help", _HELP), ("--version", "Show the version and exit.")],
+                    "commands": [(cmd, run.__doc__) for cmd, (run, _) in _COMMANDS.items()]}
+    else:
+        run, options = _COMMANDS[name]
+        usage, about, rows = f"{name} [OPTIONS]", run.__doc__, []
         for opt in options:
             text = opt.help
             if opt.required:
                 text += " [required]"
             elif opt.default is not None:
                 text += f" [default: {opt.default}]"
-            if opt.convert is None:
-                sub.add_argument(opt.flag, action="store_true", help=text)
-            else:
-                sub.add_argument(opt.flag, action=_Given, dest="given", default=(),
-                                 metavar=_METAVARS[opt.convert], help=text)
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-    return parser
+            rows.append((f"{opt.flag} {_METAVARS[opt.convert]}" if opt.convert
+                         else opt.flag, text))
+        sections = {"options": rows + [("--help", _HELP)]}
+    lines = [f"usage: lightclock {usage}", "", about]
+    for title, rows in sections.items():
+        width = max(len(label) for label, _ in rows)
+        lines += ["", f"{title}:"] + [f"  {label:<{width}}  {text}" for label, text in rows]
+    return "\n".join(lines) + "\n"
 
 
-_PARSER = _build_parser()
+def _read(argv: list[str]):
+    """The command that ``argv`` names and its flag values, in one pass.
 
-
-def _click_argv(argv: list[str]) -> list[str]:
-    """``argv`` read as the earlier click front end read it, rewritten so
-    that argparse agrees.
-
-    A value option takes the next token even when that starts with "-"
-    (``--v -1e-05``), so the two are joined as ``--v=-1e-05``.  "--" ends
-    the options: after the command, every later token is an extra argument;
-    before the command, or as the last token, it is dropped.
+    A value option of the command takes the text after "=", or else the next
+    token, even one led by "-"; any other flag takes no value.  "--" is
+    dropped before the command and as the last token.  ``--help``, and
+    ``--version`` before the command, print and exit 0 when read; other usage
+    errors wait for the end of the argv, or for an unknown command.  Values
+    are converted in the order their flags first appear, then the rest as
+    declared; the last of a repeated option wins, and the texts it overrides
+    are never converted, so the first bad value given is the one reported.
     """
-    out, i = [], 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
+    name, options, texts, unknown = None, {}, {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        opt = options.get(flag)
         if token == "--":
-            if any(not t.startswith("-") for t in out) and i < len(argv):
-                return out + argv[i - 1:]
-            continue
-        if token in _VALUE_FLAGS and i < len(argv):
-            token = f"{token}={argv[i]}"
-            i += 1
-        out.append(token)
-    return out
-
-
-def _arguments(ns: argparse.Namespace, options) -> dict:
-    """Each option's value, converted as the click front end converted them:
-    in the order of first appearance on the command line, then the others in
-    declared order, so the first bad value is the one reported.  The last of
-    a repeated option wins, and the texts it overrides are never converted."""
-    given = ns.given
-    rank = {flag: i for i, flag in enumerate(dict.fromkeys(f for f, _ in given))}
+            rest = list(tokens) if name else []
+            unknown += [token, *rest] if rest else []
+        elif token == "--help" or token == "--version" and name is None:
+            sys.stdout.write(_help(name) if token == "--help"
+                             else f"lightclock {__version__}\n")
+            sys.exit(EXIT_OK)
+        elif opt and opt.convert:
+            text = text if eq else next(tokens, None)
+            if text is None:
+                raise ValueError(f"argument {flag}: expected one argument")
+            texts.setdefault(flag, []).append(text)
+        elif opt and not eq:
+            texts[flag] = []
+        elif name is None and not token.startswith("-"):
+            if token not in _COMMANDS:
+                raise ValueError(f"argument COMMAND: invalid choice: {token!r} (choose "
+                                 f"from {', '.join(map(repr, _COMMANDS))})")
+            name, options = token, {opt.flag: opt for opt in _COMMANDS[token][1]}
+        else:
+            unknown.append(token)
+    if name is None:
+        raise ValueError("the following arguments are required: COMMAND")
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
     values = {}
-    for opt in sorted(options, key=lambda o: rank.get(o.flag, len(rank))):
-        texts = [text for flag, text in given if flag == opt.flag]
+    for flag in dict.fromkeys([*texts, *options]):
+        opt, given = options[flag], texts.get(flag)
         if opt.convert is None:
-            value = getattr(ns, opt.key)
+            value = given is not None
         elif opt.multiple:
-            value = tuple(opt.convert(opt.flag, text) for text in texts)
-        elif texts:
-            value = opt.convert(opt.flag, texts[-1])
+            value = tuple(opt.convert(flag, text) for text in given or ())
+        elif given:
+            value = opt.convert(flag, given[-1])
         elif opt.required:
-            raise ValueError(f"the following arguments are required: {opt.flag}")
+            raise ValueError(f"the following arguments are required: {flag}")
         else:
             value = opt.default
         values[opt.key] = value
-    return values
+    return _COMMANDS[name][0], values
 
 
 def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> None:
@@ -421,11 +402,9 @@ def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> None
     ``error:`` line on stderr.  ``standalone_mode`` is accepted for callers
     written against the earlier click front end, and ignored.
     """
-    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        ns = _PARSER.parse_args(_click_argv(args))
-        run, options = _COMMANDS[ns.command]
-        run(**_arguments(ns, options))
+        run, values = _read(sys.argv[1:] if argv is None else list(argv))
+        run(**values)
     except (LightClockError, ValueError, OverflowError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

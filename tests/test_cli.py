@@ -333,6 +333,8 @@ class TestHelpAndErrors:
                   "--format", "--out"],
         "velmap": ["--vmax", "--steps", "--c", "--alternate", "--out"],
     }
+    METAVARS = {"_finite_float": "FLOAT", "_integer": "INTEGER", "_rational": "TEXT",
+                "_path": "PATH", "_format": "{csv,json}"}
 
     @pytest.mark.parametrize("cmd", ["radar", "derive", "decay", "velmap"])
     def test_help_available(self, cli, cmd):
@@ -342,14 +344,28 @@ class TestHelpAndErrors:
         assert result.stdout.startswith(f"usage: lightclock {cmd} ")
         for flag in self.FLAGS[cmd] + ["--help"]:
             assert re.search(rf"^  {flag}\b", result.stdout, re.M), flag
+        # each flag with its metavar, help and [required] or [default: ...]
+        help_text = " ".join(result.stdout.split())
+        for opt in cli_module._COMMANDS[cmd][1]:
+            metavar = f" {self.METAVARS[opt.convert.__name__]}" if opt.convert else ""
+            note = " [required]" if opt.required else (
+                "" if opt.default is None else f" [default: {opt.default}]")
+            assert f" {opt.flag}{metavar} {opt.help}{note} " in help_text, opt.flag
+
+    def test_top_level_help(self, cli):
+        result = cli(["--help"])
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith("usage: lightclock ")
+        for name in ["radar", "derive", "decay", "velmap", "--help", "--version"]:
+            assert re.search(rf"^  {name}\b", result.stdout, re.M), name
 
     def test_decay_help_states_the_sample_cap(self, cli):
-        # a literal in cli, so that building the parser never imports decay
+        # a literal in cli, so that reading an argv never imports decay
         help_text = " ".join(cli(["decay", "--help"]).stdout.split())
         assert f"Lifetimes drawn per frame, 1..{decay_module.MAX_SAMPLES}." in help_text
 
     def test_decay_help_states_the_block_size(self, cli):
-        # literals in cli too; spaces dropped, since argparse may wrap at the hyphen
+        # literals in cli too; spaces dropped, so that no line layout of the help matters
         block = decay_module.BLOCK
         assert block == 2 ** (block.bit_length() - 1)
         expected = (f"Threads over fixed 2^{block.bit_length() - 1}-sample blocks, capped "
@@ -420,9 +436,11 @@ class TestHelpAndErrors:
 
 
 class TestClickValueSemantics:
-    """How the parser reads an argv, pinned to what the click front end did.
+    """How the CLI reads an argv, pinned to what the click front end did.
 
-    Expected exit codes, stdout and stderr lines were recorded from it.
+    Expected exit codes, stdout and stderr lines were recorded from it, except
+    for the cases below the "one-pass reader" comments, which pin the rules
+    of ``cli._read``, and where it departs from the argparse front end.
     """
 
     CSV_1_1 = "t1,t3,c,tE,rE,vE\n1.0,3.0,1.0,2.0,1.0,0.5\n"
@@ -477,9 +495,49 @@ class TestClickValueSemantics:
         (["radar", "--x0", "1", "--t1", "1", "--v", "nan", "--t1", "inf"],
          "error: --t1 must be finite, got inf\n"),
         (["decay", "--v", "nan"], "error: --v must be finite, got nan\n"),
+        # one-pass reader: a flag the command does not know takes no value
+        (["decay", "--x0", "--v", "--help"], "error: unrecognized arguments: --x0\n"),
+        (["--v", "1", "radar", "--t1", "1"], "error: argument COMMAND: invalid choice: "
+         "'1' (choose from 'radar', 'derive', 'decay', 'velmap')\n"),
+        # one-pass reader: an on/off flag given with "=" is unrecognized
+        (["velmap", "--vmax", "0.5", "--alternate=1"],
+         "error: unrecognized arguments: --alternate=1\n"),
+        # one-pass reader: derive reports the first bad value given
+        (["derive", "--c", "x", "--v", "y"],
+         "error: --c must be a finite number (decimal or p/q), got 'x'\n"),
+        (["derive", "--d", "abc"],
+         "error: --d must be a finite number (decimal or p/q), got 'abc'\n"),
+        # one-pass reader, reading as argparse did: a value option takes
+        # "--help" as its value, --version after the command is unknown, so is
+        # all from a "--" that is not last, unknown flags are reported before
+        # bad values, and a missing value before unknown flags
+        (["radar", "--t1", "--help"], "error: argument --t1: invalid float value: '--help'\n"),
+        (["radar", "--t1", "1", "--version"], "error: unrecognized arguments: --version\n"),
+        (["velmap", "--vmax", "0.5", "--", "--steps", "2"],
+         "error: unrecognized arguments: -- --steps 2\n"),
+        (["radar", "--t1", "abc", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+        (["radar", "--bogus", "--t1"], "error: argument --t1: expected one argument\n"),
+        # an unknown command ends the reading, so a later --help is never read
+        (["teleport", "--help"], "error: argument COMMAND: invalid choice: 'teleport' "
+         "(choose from 'radar', 'derive', 'decay', 'velmap')\n"),
+        (["--"], "error: the following arguments are required: COMMAND\n"),
     ])
     def test_rejected(self, cli, argv, stderr):
         result = cli(argv)
         assert_rejected(result)
         if stderr is not None:
             assert result.stderr == stderr
+
+    @pytest.mark.parametrize("argv, command", [
+        # one-pass reader: --help is read as soon as it is an option, before
+        # any usage error or value conversion
+        (["radar", "--bogus", "--help"], "radar"),
+        (["derive", "--exact=1", "--help"], "derive"),
+        (["radar", "--t1", "abc", "--help"], "radar"),
+        (["--bogus", "--help", "radar"], None),
+        (["--", "--help"], None),
+    ])
+    def test_help_before_usage_errors(self, cli, argv, command):
+        result = cli(argv)
+        expected = cli([command, "--help"] if command else ["--help"]).stdout
+        assert (result.exit_code, result.stdout, result.stderr) == (0, expected, "")

@@ -1,7 +1,7 @@
 """Import graph: each command loads only the lightclock modules it runs,
 only the decay path loads numpy, the thread pool only when more than one
-thread runs, and no command loads click.  The package's lazy exports are
-the same objects as its submodules' names.
+thread runs, and no command loads click or argparse.  The package's lazy
+exports are the same objects as its submodules' names.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and every lightclock module.  No timing is asserted, only
@@ -22,7 +22,7 @@ from lightclock.decay import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-HEAVY = ("numpy", "concurrent.futures", "click")
+HEAVY = ("numpy", "concurrent.futures", "click", "argparse")
 
 CHILD = """
 import sys
