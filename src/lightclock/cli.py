@@ -264,7 +264,7 @@ _OUT = _Option("--out", _path, "Write output to this path instead of stdout.")
 
 _COMMANDS = {
     "radar": (radar, (
-        _Option("--x0", _finite_float, "Reflector position at t = 0.", 0.0),
+        _Option("--x0", _finite_float, "Reflector position at t = 0.", required=True),
         _Option("--v", _finite_float, "Reflector velocity; |v| must stay below c.", 0.0),
         _Option("--t1", _finite_float,
                 "Emission time of one ping; repeat for several pings.", multiple=True),

@@ -15,10 +15,10 @@ seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 ``-tau * ln(1 - U)`` from a counter-based uniform stream (Philox keyed by
 the seed, sample index = stream position), streamed in blocks of at most
 ``BLOCK`` samples, the leaves of numpy's pairwise summation tree.  Threads,
-capped at the CPU count and the block count, take a few subtrees each and
-hold one block at a time, so memory is O(threads * 1 MiB) and a run is
-bit-identical for a fixed (tau, samples, seed) whatever the number of
-workers.
+capped at the CPU count and the subtree count, take a few subtrees each,
+draw each from one generator and hold one block at a time, so memory is
+O(threads * 1 MiB) and a run is bit-identical for a fixed (tau, samples,
+seed) whatever the number of workers.
 
 Only the ensemble engine imports numpy, and the thread pool only when more
 than one thread runs, so importing lightclock and the derive, radar and
@@ -49,7 +49,7 @@ MAX_SAMPLES = 10 ** 9
 # 8 * BLOCK bytes at a time, so memory is O(threads * 1 MiB) for any M, and
 # a leaf fits in one core's L2 cache.
 BLOCK = 2 ** 17
-# Philox emits 4 64-bit words per counter increment; leaf starts must sit
+# Philox emits 4 64-bit words per counter increment; task starts must sit
 # on whole counter blocks for Philox.advance to land on them.
 _PHILOX_BLOCK = 4
 _SEED_LIMIT = 2 ** 64
@@ -87,10 +87,6 @@ def population(model: DecayModel, t: float) -> float:
     return model.n0 * math.exp(-t / model.tau)
 
 
-def _ddt_central(f, t: float, h: float) -> float:
-    return (f(t + h) - f(t - h)) / (2.0 * h)
-
-
 def _ddt_forward(f, t: float, h: float) -> float:
     # first order; keeps evaluation inside t >= 0
     return (f(t + h) - f(t)) / h
@@ -112,7 +108,7 @@ def _ddt(f, t: float, h: float, boundary) -> float:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
     if not 0 < h < math.inf:
         raise ValueError(f"step must be positive and finite, got {h}")
-    return _ddt_central(f, t, h) if t >= h else boundary(f, t, h)
+    return (f(t + h) - f(t - h)) / (2.0 * h) if t >= h else boundary(f, t, h)
 
 
 def _probe_population(n: float, t: float) -> float:
@@ -162,8 +158,7 @@ class SeparableSolution:
         return self.spatial(r) * population(self.temporal, t)
 
 
-def operator_check(sol: SeparableSolution, r: float, t: float,
-                   step: float | None = None, tol: float = OPERATOR_TOL) -> bool:
+def operator_check(sol: SeparableSolution, r: float, t: float) -> bool:
     """Check ``D(T) = k * dT/dt`` at one probe point.
 
     The operator image is taken through the solution's defining unit
@@ -174,10 +169,10 @@ def operator_check(sol: SeparableSolution, r: float, t: float,
     The tolerance is relative to ``|N(t)|``, so the check is as strict for
     a tiny population as for one of order unity.
     """
-    h = step if step is not None else FD_STEP_FACTOR * sol.temporal.tau
+    h = FD_STEP_FACTOR * sol.temporal.tau
     deriv = _ddt(lambda x: sol.field(r, x), t, h, _ddt_forward3)
     operator_image = _probe_population(population(sol.temporal, t), t)
-    return abs(operator_image - sol.k * deriv) <= tol * abs(operator_image)
+    return abs(operator_image - sol.k * deriv) <= OPERATOR_TOL * abs(operator_image)
 
 
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
@@ -190,12 +185,11 @@ def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
 
 
 def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
-                     n0: float = 1.0, tau_m: float | None = None,
-                     step: float | None = None, tol: float = 1e-8) -> bool:
+                     tau_m: float | None = None) -> bool:
     """Verify the frame-transfer identity behind the dilation.
 
     With ``t_m = t_s / gamma`` and the moving-frame population
-    ``Nbar(t_m) = n0 * exp(-t_m / tau_m)``, the rest-frame law transfers to
+    ``Nbar(t_m) = exp(-t_m / tau_m)``, the rest-frame law transfers to
 
         N(t_s) = (-tau_s / gamma) * dNbar/dt_m,
 
@@ -208,12 +202,11 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     gamma = gamma_factor(p)
     if tau_m is None:
         tau_m = tau_dilated
-    h = step if step is not None else FD_STEP_FACTOR * tau_m
-    nbar = lambda x: n0 * math.exp(-x / tau_m)
-    deriv = _ddt(nbar, t_probe / gamma, h, _ddt_forward3)
-    lhs = _probe_population(n0 * math.exp(-t_probe / tau_s), t_probe)
+    deriv = _ddt(lambda x: math.exp(-x / tau_m), t_probe / gamma,
+                 FD_STEP_FACTOR * tau_m, _ddt_forward3)
+    lhs = _probe_population(math.exp(-t_probe / tau_s), t_probe)
     rhs = (-tau_s / gamma) * deriv
-    return abs(lhs - rhs) <= tol * abs(lhs)
+    return abs(lhs - rhs) <= OPERATOR_TOL * abs(lhs)
 
 
 def _pairwise(lo: int, n: int, leaf, node: int = 0):
@@ -232,18 +225,11 @@ def _pairwise(lo: int, n: int, leaf, node: int = 0):
     return _pairwise(lo, half, leaf, node) + _pairwise(lo + half, n - half, leaf, node)
 
 
-def _leaf_lifetimes(tau: float, seed: int, start: int, size: int) -> np.ndarray:
-    """Lifetimes ``-tau * ln(1 - U_i)`` for i in [start, start + size).
-
-    ``U_i`` is word i of the Philox stream keyed by seed; ``start`` must be
-    a multiple of 4, the words of one counter block.
-    """
-    # imported here, to keep numpy off the start-up path of every other command
+def _leaf_lifetimes(tau: float, gen: np.random.Generator, size: int) -> np.ndarray:
+    """The next ``size`` lifetimes ``-tau * ln(1 - U)`` drawn from gen."""
     import numpy as np
 
-    bg = np.random.Philox(key=seed)
-    bg.advance(start // _PHILOX_BLOCK)
-    out = np.random.Generator(bg).random(size)
+    out = gen.random(size)
     np.negative(out, out=out)
     np.log1p(out, out=out)
     out *= -tau
@@ -253,24 +239,30 @@ def _leaf_lifetimes(tau: float, seed: int, start: int, size: int) -> np.ndarray:
 def _keyed_sum(tau: float, seed: int, n: int, workers: int) -> float:
     """Sum of the first n lifetimes of the stream, as ``np.sum`` of all gives.
 
-    ``min(workers, leaves, cpu_count)`` threads, and no pool for one.  A pool
-    gets about 8 subtree tasks per thread, each summed leaf by leaf in one
-    thread, so it holds O(threads) futures whatever n is.
+    About 8 subtree tasks per thread, each drawing its leaves in order from
+    one Philox advanced to its first sample.  ``min(workers, tasks,
+    cpu_count)`` threads: one runs the tasks inline, more share a pool,
+    which holds O(threads) futures whatever n is.
     """
-    def leaf_sum(lo, size):
-        return float(_leaf_lifetimes(tau, seed, lo, size).sum(initial=0.0))
+    # imported here, to keep numpy off the start-up path of every other command
+    import numpy as np
 
-    leaves = _pairwise(0, n, lambda lo, size: 1)
-    threads = min(workers, leaves, os.cpu_count() or 1)
-    if threads == 1:
-        return _pairwise(0, n, leaf_sum)
-    from concurrent.futures import ThreadPoolExecutor
+    def task_sum(task):
+        lo, size = task
+        gen = np.random.Generator(np.random.Philox(key=seed).advance(lo // _PHILOX_BLOCK))
+        return _pairwise(lo, size, lambda _, leaf: float(
+            _leaf_lifetimes(tau, gen, leaf).sum(initial=0.0)))
 
-    node = n // (8 * threads)
+    cpus = min(workers, os.cpu_count() or 1)
+    node = n // (8 * cpus)
     tasks = _pairwise(0, n, lambda lo, size: [(lo, size)], node)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        sums = dict(zip(tasks, pool.map(lambda task: _pairwise(*task, leaf_sum), tasks)))
-    return _pairwise(0, n, lambda lo, size: sums[lo, size], node)
+    threads = min(cpus, len(tasks))
+    sums = map(task_sum, tasks)
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sums = pool.map(task_sum, tasks)
+    return _pairwise(0, n, lambda lo, size: next(sums), node)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ class TestRadarCommand:
         assert lines[2] == "2.0,6.0,1.0,4.0,2.0,0.5"
 
     def test_superluminal_exits_2_and_names_constraint(self, cli):
-        result = cli(["radar", "--v", "1.5", "--t1", "0"])
+        result = cli(["radar", "--x0", "1", "--v", "1.5", "--t1", "0"])
         assert result.exit_code == 2
         assert "superluminal" in result.stderr
 
@@ -63,8 +63,14 @@ class TestRadarCommand:
         jsonschema.validate(payload, load_schema("radar_records"))
 
     def test_missing_emission_time(self, cli):
-        result = cli(["radar", "--v", "0.5"])
+        result = cli(["radar", "--x0", "1", "--v", "0.5"])
         assert result.exit_code == 2
+
+    def test_position_required(self, cli):
+        # at x0 = 0 and the default v = 0 the reflector sits on the emitter
+        result = cli(["radar", "--t1", "1"])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: the following arguments are required: --x0\n"
 
     def test_geometry_error_exits_2(self, cli):
         result = cli(["radar", "--x0", "-5", "--v", "0", "--t1", "0"])
@@ -392,9 +398,9 @@ class TestHelpAndErrors:
     @pytest.mark.parametrize("args, config", [
         (["decay", "--tau-s", "1", "--v", "nan", "--format", "json"], None),
         (["decay", "--tau-s", "1", "--c", "inf"], None),
-        (["radar", "--t1", "1", "--c", "nan"], None),
+        (["radar", "--x0", "1", "--t1", "1", "--c", "nan"], None),
         (["velmap", "--vmax", "0.5", "--c", "inf"], None),
-        (["radar", "--t1", "1"], '{"c": NaN}'),
+        (["radar", "--x0", "1", "--t1", "1"], '{"c": NaN}'),
         (["velmap", "--vmax", "0.5"], '{"c": "2"}'),
         (["velmap", "--vmax", "0.5"], '{"tolerance": "0"}'),
         (["velmap", "--vmax", "0.5"], '{"out": 5}'),

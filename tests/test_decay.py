@@ -39,6 +39,11 @@ def full_buffer_mean(tau, m, seed):
     return float(out.mean())
 
 
+def stream(seed, start=0):
+    """The Philox stream keyed by seed, from sample ``start`` (a multiple of 4)."""
+    return np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Run the engine's thread pool inline, recording each pool's thread
@@ -181,10 +186,7 @@ NON_UNIT = SeparableSolution(spatial_coeffs=(1.0, 0.0, 1.0), temporal=CANONICAL.
 
 
 @pytest.mark.parametrize("check, match", [
-    (lambda: operator_check(CANONICAL, 0.5, 1.0, step=-1.0), "step"),
-    (lambda: operator_check(CANONICAL, 0.5, 1.0, step=math.nan), "step"),
     (lambda: operator_check(CANONICAL, 0.5, math.nan), "time"),
-    (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), 1.0, step=0.0), "step"),
     (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), math.nan), "time"),
     (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), -1.0), "time"),
     (lambda: ode_residual(CANONICAL.temporal, 1.0, math.inf), "step"),
@@ -201,8 +203,7 @@ NON_UNIT = SeparableSolution(spatial_coeffs=(1.0, 0.0, 1.0), temporal=CANONICAL.
      "time"),
     (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), 1e6, tau_m=0.8),
      "population"),
-], ids=["operator-negative-step", "operator-nan-step", "operator-nan-time",
-        "chain-zero-step", "chain-nan-time", "chain-negative-time",
+], ids=["operator-nan-time", "chain-nan-time", "chain-negative-time",
         "ode-inf-step", "ode-nan-step", "ode-negative-time",
         "ode-inf-time", "ode-underflow", "operator-inf-time", "operator-underflow",
         "operator-subnormal", "chain-inf-time", "chain-underflow"])
@@ -292,11 +293,16 @@ class TestRunEnsemble:
         raw = np.random.Philox(key=seed).random_raw(1)
         u0 = (int(raw[0]) >> 11) * 2.0 ** -53
         assert run_ensemble(1.0, 1, seed).tau_hat == pytest.approx(-math.log1p(-u0), rel=1e-15)
-        assert _leaf_lifetimes(1.0, seed, 0, 1).tolist() == [-math.log1p(-u0)]
+        assert _leaf_lifetimes(1.0, stream(seed), 1).tolist() == [-math.log1p(-u0)]
 
     def test_leaf_starts_at_its_stream_position(self):
-        whole = _leaf_lifetimes(2.0, 5, 0, 64)
-        assert np.array_equal(_leaf_lifetimes(2.0, 5, 24, 40), whole[24:])
+        whole = _leaf_lifetimes(2.0, stream(5), 64)
+        assert np.array_equal(_leaf_lifetimes(2.0, stream(5, 24), 40), whole[24:])
+
+    def test_leaves_drawn_in_turn_continue_the_stream(self):
+        gen = stream(5)
+        parts = [_leaf_lifetimes(2.0, gen, size) for size in (24, 3, 37)]
+        assert np.array_equal(np.concatenate(parts), _leaf_lifetimes(2.0, stream(5), 64))
 
     def test_golden_value_frozen(self):
         run = run_ensemble(3.0, 100_000, 42)
@@ -308,8 +314,8 @@ class TestRunEnsemble:
         assert run.stderr == run.tau_hat / math.sqrt(100_000)
 
     def test_lifetimes_nonnegative(self):
-        assert (_leaf_lifetimes(0.5, 3, 0, 1000) >= 0.0).all()
-        assert (_leaf_lifetimes(0.5, 3, BLOCK, 1000) >= 0.0).all()
+        assert (_leaf_lifetimes(0.5, stream(3), 1000) >= 0.0).all()
+        assert (_leaf_lifetimes(0.5, stream(3, BLOCK), 1000) >= 0.0).all()
 
     @pytest.mark.parametrize("m", [1, 7, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 10 ** 7])
     def test_mean_equals_full_buffer_mean_bitwise(self, m):
@@ -352,6 +358,20 @@ class TestRunEnsemble:
         assert inline_pool["threads"] == [2]
         assert 0 < inline_pool["items"][0] <= 16 * 2
 
+    @pytest.mark.parametrize("workers, builds", [(1, 8), (2, 16)])
+    def test_one_generator_per_subtree_task(self, monkeypatch, workers, builds):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        real, built = np.random.Philox, []
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("numpy.random.Philox", counting_philox)
+        run_ensemble(1.0, 64 * BLOCK, 0, workers=workers)
+        # 64 leaves, cut into 8 subtree tasks per thread
+        assert len(built) == builds
+
     def test_memory_bounded_by_threads_times_block(self):
         threads = min(2, os.cpu_count() or 1)
         # warm: the first call also imports the thread pool
@@ -375,8 +395,8 @@ class TestRunEnsemble:
             run_ensemble(1.0, 11, 0)
 
     def test_distinct_seeds_give_distinct_streams(self):
-        a = _leaf_lifetimes(1.0, 1, 0, 100)
-        b = _leaf_lifetimes(1.0, 2, 0, 100)
+        a = _leaf_lifetimes(1.0, stream(1), 100)
+        b = _leaf_lifetimes(1.0, stream(2), 100)
         assert not np.array_equal(a, b)
         assert run_ensemble(1.0, 100, 1).tau_hat != run_ensemble(1.0, 100, 2).tau_hat
 

@@ -76,8 +76,8 @@ def alpha_not_flipped(coeffs):
     return line_element.velocity_ratio(flipped, 0)
 
 
-def lifetime_scale_dropped(tau, seed, start, size):
-    return REAL_LEAF(1.0, seed, start, size)
+def lifetime_scale_dropped(tau, gen, size):
+    return REAL_LEAF(1.0, gen, size)
 
 
 def forward_difference_reversed(f, t, h):
