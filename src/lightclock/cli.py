@@ -40,7 +40,11 @@ EXIT_CERTIFICATION = 4
 
 def _check_finite(name: str, value: float) -> float:
     """The one finiteness check of float flags, float config fields and CSV cells."""
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        finite, value = False, f"an integer of {len(str(abs(value)))} digits"
+    if not finite:
         raise ValueError(f"{name} must be finite, got {value}")
     return value
 

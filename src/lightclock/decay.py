@@ -5,8 +5,8 @@ The population law is ``N(t) = N0 * exp(-t / tau)``, the unique solution of
 ``T(r, t) = h(r) * N(t)`` with unit spatial factor satisfies the operator
 equation ``D(T) = k * dT/dt`` where ``D`` acts as the identity through the
 spatial factor and ``k = -tau``; ``operator_check`` verifies this with
-finite differences and doubles as a negative control for non-unit spatial
-factors.
+the closed-form derivative ``dN/dt = -N / tau`` and doubles as a negative
+control for non-unit spatial factors.
 
 For a source moving with line-element parameters ``p`` the mean lifetime
 measured at rest dilates to ``tau_m = tau_s / gamma`` with
@@ -39,8 +39,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TAU_BOUND = 1e15
-FD_STEP_FACTOR = 1e-4
-OPERATOR_TOL = 1e-8
 
 # Largest ensemble run_ensemble draws, the same on every host whatever its
 # memory: about 7 s per ensemble at two threads on a 2-CPU Xeon.
@@ -92,33 +90,30 @@ def _ddt_forward(f, t: float, h: float) -> float:
     return (f(t + h) - f(t)) / h
 
 
-def _ddt_forward3(f, t: float, h: float) -> float:
-    # second order, one-sided: (-3f + 4f(+h) - f(+2h)) / 2h
-    return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2.0 * h)) / (2.0 * h)
-
-
-def _ddt(f, t: float, h: float, boundary) -> float:
-    """df/dt at finite t >= 0 by central differences, or ``boundary`` within
-    h of 0.
-
-    The guard of time and step in the finite-difference checks; negated, so
-    NaN fails it.
-    """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be nonnegative and finite, got {t}")
-    if not 0 < h < math.inf:
+def _ddt(f, t: float, h: float) -> float:
+    """df/dt at t >= 0 by central differences, or forward ones within h of 0."""
+    if not 0 < h < math.inf:  # negated, so NaN fails it
         raise ValueError(f"step must be positive and finite, got {h}")
-    return (f(t + h) - f(t - h)) / (2.0 * h) if t >= h else boundary(f, t, h)
+    return (f(t + h) - f(t - h)) / (2.0 * h) if t >= h else _ddt_forward(f, t, h)
 
 
 def _probe_population(n: float, t: float) -> float:
-    """N(t) at the probe of a check.  Where N(t) is zero or subnormal, both
-    sides of the check round to about 0 and it could not fail, so such a
-    probe is rejected."""
+    """N(t) at the finite probe t >= 0 of a check.  Where N(t) is zero or
+    subnormal, the identity rounds to 0 = 0 or is divided by noise, so such
+    a probe is rejected.  The guards are negated, so NaN fails them."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     if not abs(n) >= sys.float_info.min:
         raise ValueError(f"population must be a normal float at the probe, "
                          f"got N({t}) = {n!r}")
     return n
+
+
+def _close(a: float, b: float, x: float) -> bool:
+    """``a == b`` within 8 ulps, widened by ``|x|``, the condition number of
+    ``exp`` at x (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed.)."""
+    return abs(a - b) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(x)) * abs(a)
 
 
 def ode_residual(model: DecayModel, t: float, step: float) -> float:
@@ -128,8 +123,8 @@ def ode_residual(model: DecayModel, t: float, step: float) -> float:
     a one-sided first-order difference is used instead, so the residual is
     only O(step) there.
     """
-    deriv = _ddt(lambda x: population(model, x), t, step, _ddt_forward)
-    return _probe_population(population(model, t), t) + model.tau * deriv
+    n = _probe_population(population(model, t), t)
+    return n + model.tau * _ddt(lambda x: population(model, x), t, step)
 
 
 @dataclass(frozen=True)
@@ -154,25 +149,20 @@ class SeparableSolution:
     def spatial(self, r: float) -> float:
         return sum(c * r ** i for i, c in enumerate(self.spatial_coeffs))
 
-    def field(self, r: float, t: float) -> float:
-        return self.spatial(r) * population(self.temporal, t)
-
 
 def operator_check(sol: SeparableSolution, r: float, t: float) -> bool:
     """Check ``D(T) = k * dT/dt`` at one probe point.
 
     The operator image is taken through the solution's defining unit
     spatial factor, ``D(T) = 1 * N(t)``, while the time derivative is taken
-    on the actual field ``h(r) * N(t)`` by finite differences (second-order
-    one-sided at the t = 0 boundary).  A solution whose spatial factor is
-    not identically 1 therefore fails away from the roots of ``h(r) = 1``.
-    The tolerance is relative to ``|N(t)|``, so the check is as strict for
-    a tiny population as for one of order unity.
+    on the actual field, ``h(r) * dN/dt = -h(r) * N(t) / tau``.  Divided by
+    the normal ``N(t)``, the identity reads ``k * h(r) = -tau``, checked to
+    8 ulps, so it is as strict for a tiny population as for a huge one.  A
+    solution whose spatial factor is not identically 1 therefore fails away
+    from the roots of ``h(r) = 1``.
     """
-    h = FD_STEP_FACTOR * sol.temporal.tau
-    deriv = _ddt(lambda x: sol.field(r, x), t, h, _ddt_forward3)
-    operator_image = _probe_population(population(sol.temporal, t), t)
-    return abs(operator_image - sol.k * deriv) <= OPERATOR_TOL * abs(operator_image)
+    _probe_population(population(sol.temporal, t), t)
+    return _close(-sol.temporal.tau, sol.k * sol.spatial(r), 0.0)
 
 
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
@@ -193,20 +183,22 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
 
         N(t_s) = (-tau_s / gamma) * dNbar/dt_m,
 
-    which holds exactly when ``tau_m = tau_s / gamma``.  The derivative is
-    finite-difference, the comparison relative.  Passing an explicit
-    ``tau_m`` (e.g. ``tau_s * gamma``) turns this into a negative control.
-    A negative or NaN probe is reported as its moving-frame time ``t_m``.
+    which holds exactly when ``tau_m = tau_s / gamma``.  With the exact
+    ``dNbar/dt_m = -Nbar / tau_m`` it splits into the value transfer
+    ``N(t_s) = Nbar(t_m)``, within exp's condition number ``t_s / tau_s``,
+    and, divided by ``N(t_s)``, ``gamma * tau_m = tau_s`` to 8 ulps, which
+    sees a wrong ``tau_m`` at every probe.  Passing an explicit ``tau_m``
+    (e.g. ``tau_s * gamma``) turns this into a negative control.
     """
     tau_dilated = dilated_lifetime(tau_s, p)  # rejects tau_s <= 0 and d != 0
     gamma = gamma_factor(p)
-    if tau_m is None:
-        tau_m = tau_dilated
-    deriv = _ddt(lambda x: math.exp(-x / tau_m), t_probe / gamma,
-                 FD_STEP_FACTOR * tau_m, _ddt_forward3)
-    lhs = _probe_population(math.exp(-t_probe / tau_s), t_probe)
-    rhs = (-tau_s / gamma) * deriv
-    return abs(lhs - rhs) <= OPERATOR_TOL * abs(lhs)
+    tau_m = tau_dilated if tau_m is None else tau_m
+    if not 0 < tau_m < math.inf:
+        raise ValueError(f"tau_m must be positive and finite, got {tau_m}")
+    n = _probe_population(math.exp(-t_probe / tau_s), t_probe)
+    # t_m / tau_m, dividing by tau_m first, so it stays finite where tau_m >= tau_s
+    return (_close(n, math.exp(-(t_probe / tau_m) / gamma), t_probe / tau_s)
+            and _close(tau_s, gamma * tau_m, 0.0))
 
 
 def _pairwise(lo: int, n: int, leaf, node: int = 0):

@@ -314,6 +314,15 @@ class TestConfig:
         assert_rejected(result)
         assert "tolerance must lie in [0, 1e-6], got 1" in result.stderr
 
+    @pytest.mark.parametrize("key", ["c", "tolerance"])
+    def test_integer_beyond_float_range_rejected(self, cli, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        result = cli(["derive", "--v", "0.5"],
+                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
+        assert_rejected(result)
+        assert result.stderr == f"error: {key} must be finite, got an integer of 401 digits\n"
+
     def test_readme_table_lists_every_key(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         text = readme.read_text(encoding="utf-8")

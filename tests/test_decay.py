@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st_
 
 from lightclock.decay import (
     BLOCK,
@@ -167,6 +169,11 @@ class TestOperatorCheck:
         assert not operator_check(bad, 3.7, 600.0)
         assert operator_check(SeparableSolution.canonical(model), 3.7, 600.0)
 
+    def test_passes_at_the_largest_population(self):
+        # N(t) = 1.7e308: a difference stencil over it overflows to inf
+        sol = SeparableSolution.canonical(DecayModel(n0=1.7e308, tau=1.0))
+        assert operator_check(sol, 0.0, 0.0)
+
     def test_grid_sweep_with_negative_control(self):
         for tau in (0.5, 1.0, 3.0):
             model = DecayModel(n0=1.0, tau=tau)
@@ -203,10 +210,14 @@ NON_UNIT = SeparableSolution(spatial_coeffs=(1.0, 0.0, 1.0), temporal=CANONICAL.
      "time"),
     (lambda: chain_rule_check(1.0, LineElementParams(v=0.6), 1e6, tau_m=0.8),
      "population"),
+    *[(lambda tau_m=tau_m: chain_rule_check(1.0, LineElementParams(v=0.6), 0.5,
+                                            tau_m=tau_m), "tau_m")
+      for tau_m in (0.0, -1.0, math.nan, math.inf)],
 ], ids=["operator-nan-time", "chain-nan-time", "chain-negative-time",
         "ode-inf-step", "ode-nan-step", "ode-negative-time",
         "ode-inf-time", "ode-underflow", "operator-inf-time", "operator-underflow",
-        "operator-subnormal", "chain-inf-time", "chain-underflow"])
+        "operator-subnormal", "chain-inf-time", "chain-underflow",
+        "chain-zero-tau-m", "chain-negative-tau-m", "chain-nan-tau-m", "chain-inf-tau-m"])
 def test_finite_difference_guard(check, match):
     with pytest.raises(ValueError, match=f"^{match} must be"):
         check()
@@ -270,6 +281,21 @@ class TestChainRuleCheck:
         p = LineElementParams(v=0.6)
         wrong = 1.0 * gamma_factor(p)  # contraction instead of dilation
         assert not chain_rule_check(1.0, p, 1.0, tau_m=wrong)
+
+    def test_small_lifetime_error_fails_at_t_equal_tau_s(self):
+        # the two sides agree to first order in the error at t = tau_s, so a
+        # difference quotient at a relative tolerance of 1e-8 passed this
+        p = LineElementParams(v=0.6)
+        assert not chain_rule_check(1.0, p, 1.0, tau_m=dilated_lifetime(1.0, p) * (1 + 1e-4))
+
+    @given(v=st_.floats(0.0, 0.999, exclude_max=True), tau_s=st_.floats(1e-3, 1e3),
+           x=st_.floats(0.0, 30.0), delta=st_.floats(1e-12, 0.5),
+           sign=st_.sampled_from([-1.0, 1.0]))
+    def test_wrong_lifetime_fails_at_every_probe(self, v, tau_s, x, delta, sign):
+        p = LineElementParams(v=v)
+        tau_m = dilated_lifetime(tau_s, p)
+        assert chain_rule_check(tau_s, p, x * tau_s)
+        assert not chain_rule_check(tau_s, p, x * tau_s, tau_m=tau_m * (1 + sign * delta))
 
 
 class TestRunEnsemble:
