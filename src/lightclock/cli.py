@@ -20,13 +20,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from numbers import Real
 from pathlib import Path
 
 from . import __version__
-from .errors import LightClockError
+from .errors import LightClockError, Record
 
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
@@ -49,8 +48,7 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Defaults shared by all subcommands, overridable per flag.
 
     Documented ranges: ``c > 0``; ``0 <= tolerance <= 1e-6``; ``format``
@@ -84,8 +82,7 @@ class RunConfig:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("config: top level must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw).difference(cls._fields)
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
         return cls(**raw)
@@ -96,7 +93,7 @@ class RunConfig:
         flag overrides it), then every flag given, under the same checks."""
         path = os.environ.get(ENV_CONFIG)
         base = cls.from_file(path) if path else cls()
-        return replace(base, **{k: v for k, v in flags.items() if v is not None})
+        return base._replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -246,8 +243,7 @@ def _format(flag: str, text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(Record):
     """One flag of one command.  ``convert`` is None for an on/off flag."""
 
     flag: str

@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .errors import Record
 from .line_element import LineElementParams, gamma_factor, lambda_factor, report_dict
 
 if TYPE_CHECKING:
@@ -56,8 +56,7 @@ _SEED_LIMIT = 2 ** 64
 _FRAME_KEY_SALT = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class DecayModel:
+class DecayModel(Record):
     """Exponentially decaying population ``n0`` with mean lifetime ``tau``.
 
     ``n0`` must be positive and finite and ``tau`` lie in
@@ -127,8 +126,7 @@ def ode_residual(model: DecayModel, t: float, step: float) -> float:
     return n + model.tau * _ddt(lambda x: population(model, x), t, step)
 
 
-@dataclass(frozen=True)
-class SeparableSolution:
+class SeparableSolution(Record):
     """Separable field ``T(r, t) = h(r) * N(t)`` with operator constant k.
 
     ``spatial_coeffs`` are polynomial coefficients of h by power of r.  A
@@ -166,12 +164,18 @@ def operator_check(sol: SeparableSolution, r: float, t: float) -> bool:
 
 
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
-    """Moving-frame mean lifetime ``tau_s / gamma``; never below ``tau_s``."""
-    if not 0 < tau_s < math.inf:
-        raise ValueError(f"rest lifetime must be positive and finite, got {tau_s}")
+    """Moving-frame mean lifetime ``tau_s / gamma``; never below ``tau_s``.
+    ``tau_s`` must be a normal float (a subnormal keeps too few bits to be
+    divided by gamma), and the quotient finite."""
+    if not sys.float_info.min <= tau_s < math.inf:
+        raise ValueError(f"rest lifetime must be positive and finite, and at least "
+                         f"{sys.float_info.min!r}, got {tau_s}")
     if p.d != 0:
         raise ValueError("decay dilation requires d = 0")
-    return tau_s / gamma_factor(p)
+    tau_m = tau_s / gamma_factor(p)
+    if tau_m == math.inf:
+        raise ValueError(f"dilated lifetime overflows at tau_s = {tau_s}, v = {p.v}")
+    return tau_m
 
 
 def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
@@ -257,8 +261,7 @@ def _keyed_sum(tau: float, seed: int, n: int, workers: int) -> float:
     return _pairwise(0, n, lambda lo, size: next(sums), node)
 
 
-@dataclass(frozen=True)
-class EnsembleRun:
+class EnsembleRun(Record):
     """One seeded ensemble of exponential lifetimes and its estimates."""
 
     sample_count: int
@@ -294,8 +297,7 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
     )
 
 
-@dataclass(frozen=True)
-class FrameComparison:
+class FrameComparison(Record):
     """Rest- vs moving-frame ensemble estimates and the dilation z-score."""
 
     tau_s: float

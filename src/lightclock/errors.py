@@ -1,4 +1,7 @@
-"""Exception types shared across the lightclock package."""
+"""Exception types, the record base and the light-speed check shared across
+the lightclock package; every command loads this module."""
+
+import math
 
 
 class LightClockError(Exception):
@@ -31,3 +34,72 @@ class DegeneratePairError(LightClockError, ValueError):
 
 class PoleError(LightClockError, ZeroDivisionError):
     """Vanishing denominator in a velocity-ratio evaluation."""
+
+
+def check_light_speed(c) -> None:
+    """The one light-speed check; negated, so NaN fails it like 0 and inf."""
+    if not 0 < c < math.inf:
+        raise ValueError(f"light speed must be positive and finite, got {c}")
+
+
+class Record:
+    """Base of the package's immutable records.  The fields are the subclass's
+    own annotations, in order, and a class attribute of the same name is a
+    field's default.  ``__init__`` takes them by position or keyword, then
+    calls ``__post_init__``.  Fields named in ``_uncompared`` are left out of
+    ``==``, ``hash`` and the JSON reports."""
+
+    _uncompared = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
+        cls._compared = tuple(f for f in cls._fields if f not in cls._uncompared)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields, values = self._fields, self.__dict__
+        if not kwargs and len(args) == len(fields):  # the two fast paths
+            values.update(zip(fields, args))
+        elif not args and kwargs.keys() == self._field_set:
+            values.update(kwargs)
+        else:
+            name, given = type(self).__name__, dict(zip(fields, args))
+            if len(args) > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+            for key in kwargs:
+                if key in given or key not in self._field_set:
+                    problem = "multiple values for" if key in given else "an unexpected"
+                    raise TypeError(f"{name}() got {problem} argument {key!r}")
+            values.update(self._defaults, **given, **kwargs)
+            missing = [f for f in fields if f not in values]
+            if missing:
+                raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, checked like a new record."""
+        return type(self)(**{**self.__dict__, **changes})

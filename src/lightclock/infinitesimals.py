@@ -19,11 +19,10 @@ turn identity checks into zero-tolerance proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
 
-from .errors import OrderMismatchError, OutOfGridError
+from .errors import OrderMismatchError, OutOfGridError, Record
 
 DEFAULT_ORDER = 2
 CLOSENESS_TOL = 1e-12
@@ -37,8 +36,7 @@ def _require_same_order(a: "TruncatedHyper", b: "TruncatedHyper") -> None:
         )
 
 
-@dataclass(frozen=True)
-class TruncatedHyper:
+class TruncatedHyper(Record):
     """Truncated power series in one formal infinitesimal.
 
     ``coeffs[k]`` is the coefficient of ``eps**k``; the tuple length fixes
@@ -48,8 +46,8 @@ class TruncatedHyper:
 
     coeffs: tuple
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __init__(self, coeffs):
+        coeffs = tuple(coeffs)
         if len(coeffs) < 1:
             raise ValueError("at least one coefficient (the standard part) required")
         for c in coeffs:
@@ -58,7 +56,7 @@ class TruncatedHyper:
                 raise TypeError(f"coefficient {c!r} is not a real number")
             if isinstance(c, float) and not math.isfinite(c):
                 raise ValueError(f"coefficient {c!r} is not finite")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__["coeffs"] = coeffs
 
     @classmethod
     def constant(cls, value, order: int = DEFAULT_ORDER) -> "TruncatedHyper":
@@ -121,15 +119,9 @@ class TruncatedHyper:
         return NotImplemented
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if k == 0:
-                terms.append(f"{c}")
-            elif k == 1:
-                terms.append(f"{c}*eps")
-            else:
-                terms.append(f"{c}*eps**{k}")
-        return f"TruncatedHyper({' + '.join(terms)})"
+        powers = ["", "*eps"] + [f"*eps**{k}" for k in range(2, len(self.coeffs))]
+        terms = " + ".join(f"{c}{eps}" for c, eps in zip(self.coeffs, powers))
+        return f"TruncatedHyper({terms})"
 
 
 def st(a: TruncatedHyper):
@@ -148,8 +140,7 @@ def infinitely_close(a: TruncatedHyper, b: TruncatedHyper,
     return abs(st(a - b)) <= tol
 
 
-@dataclass(frozen=True)
-class GridApprox:
+class GridApprox(Record):
     """A clock-count rational ``numerator/scale`` from the grid
     ``{m/scale : |m| < scale**2}``."""
 

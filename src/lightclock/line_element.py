@@ -36,23 +36,15 @@ exposed separately as ``standard_rapidity`` for comparison only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .errors import PoleError, SuperluminalError
+from .errors import PoleError, Record, SuperluminalError, check_light_speed
 from .infinitesimals import DEFAULT_ORDER, TruncatedHyper, st
 
 IDENTITY_TOL = 1e-12
 
 
-def check_light_speed(c) -> None:
-    """The one light-speed check; negated, so NaN fails it like 0 and inf."""
-    if not 0 < c < math.inf:
-        raise ValueError(f"light speed must be positive and finite, got {c}")
-
-
-@dataclass(frozen=True)
-class LineElementParams:
+class LineElementParams(Record):
     """Velocity parameters (v, d, c) with 0 <= v + d < c < inf.
 
     The one domain check of the derivation chain; NaN fails it.  ``d`` is
@@ -85,8 +77,7 @@ def gamma_factor(p: LineElementParams) -> float:
     return math.sqrt(lambda_factor(p))
 
 
-@dataclass(frozen=True)
-class TransformCoeffs:
+class TransformCoeffs(Record):
     """Coefficients (alpha, beta) of the admissible branch, with their eta."""
 
     alpha: float
@@ -252,9 +243,8 @@ def _json_value(value):
 
 
 def report_dict(report, **renames) -> dict:
-    """Every JSON field of a report dataclass, in order, keyed by name or rename."""
-    return {renames.get(f.name, f.name): _json_value(getattr(report, f.name))
-            for f in fields(report) if f.metadata.get("json", True)}
+    """Every compared field of a report record, in order, keyed by name or rename."""
+    return {renames.get(f, f): _json_value(getattr(report, f)) for f in report._compared}
 
 
 def _relative_error(a, b) -> float:
@@ -263,8 +253,7 @@ def _relative_error(a, b) -> float:
     return float(abs(a - b) / max(abs(a), abs(b)))
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Record):
     """Machine-checkable record of the full derivation chain at (v, d, c).
 
     ``lhs_eps2`` is the eps**2 coefficient of the isotropic interval
@@ -294,7 +283,9 @@ class CertificationReport:
     rejected_branch_ratio: float
     checks: dict
     passed: bool
-    failures: tuple = field(default=(), compare=False, metadata={"json": False})
+    failures: tuple = ()
+
+    _uncompared = ("failures",)
 
     def as_dict(self) -> dict:
         return report_dict(self)

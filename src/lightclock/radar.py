@@ -18,19 +18,12 @@ two pings rather than from a single ``v_E``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import (
-    CausalityError,
-    DegeneratePairError,
-    GeometryError,
-    SuperluminalError,
-)
-from .line_element import check_light_speed
+from .errors import (CausalityError, DegeneratePairError, GeometryError, Record,
+                     SuperluminalError, check_light_speed)
 
 
-@dataclass(frozen=True)
-class RadarRecord:
+class RadarRecord(Record):
     """One radar exchange and its Einstein measures.
 
     ``v_E`` is ``None`` when ``t_E == 0`` (the single-ping velocity is then
@@ -62,8 +55,7 @@ def einstein_measures(t1: float, t3: float, c: float) -> RadarRecord:
     return RadarRecord(t1=t1, t3=t3, c=c, t_E=t_e, r_E=r_e, v_E=v_e)
 
 
-@dataclass(frozen=True)
-class Reflector:
+class Reflector(Record):
     """Uniformly moving target on the worldline x(t) = x0 + v*t."""
 
     x0: float

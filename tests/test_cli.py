@@ -1,6 +1,5 @@
 """CLI tests: subcommands, exit codes, formats, config and schemas."""
 
-import dataclasses
 import json
 import os
 import re
@@ -182,7 +181,7 @@ class TestDecayCommand:
         real = decay_module.compare_frames
 
         def off_by_six_sigma(*a, **kw):
-            return dataclasses.replace(real(*a, **kw), z_score=-6.5)
+            return real(*a, **kw)._replace(z_score=-6.5)
 
         monkeypatch.setattr(decay_module, "compare_frames", off_by_six_sigma)
         result = cli(args)
@@ -329,7 +328,7 @@ class TestConfig:
         section = text.split("### Configuration")[1].split("\n### ")[0]
         keys = [row.split("`")[1] for row in section.splitlines()
                 if row.startswith("| `")]
-        assert keys == [f.name for f in dataclasses.fields(cli_module.RunConfig)]
+        assert keys == list(cli_module.RunConfig._fields)
 
     def test_missing_config_file_rejected(self, cli):
         result = cli(["velmap", "--vmax", "0.5"],
@@ -421,6 +420,8 @@ class TestHelpAndErrors:
         (["radar", "--x0", "1e308", "--t1", "1", "--format", "json"], None),
         # every lifetime underflows to 0 at this seed
         (["decay", "--tau-s", "5e-324", "--samples", "1", "--seed", "0"], None),
+        # a subnormal rest lifetime keeps too few bits to be dilated
+        (["decay", "--tau-s", "5e-324", "--v", "0.6", "--samples", "1000"], None),
         (["velmap", "--vmax", "0.5", "--steps", "1000001"], None),
         # w exceeds the float range although vmax < c
         (["velmap", "--vmax", "1.69e308", "--c", "1.7e308", "--steps", "1"], None),

@@ -266,6 +266,28 @@ class TestDilatedLifetime:
         with pytest.raises(ValueError, match="positive and finite"):
             dilated_lifetime(tau_s, LineElementParams(v=0.3))
 
+    @pytest.mark.parametrize("tau_s", [5e-324, 2.2250738585072009e-308])
+    def test_subnormal_lifetime_rejected(self, tau_s):
+        with pytest.raises(ValueError, match="at least 2.2250738585072014e-308"):
+            dilated_lifetime(tau_s, LineElementParams(v=0.6))
+
+    def test_smallest_normal_lifetime_accepted(self):
+        assert dilated_lifetime(2.2250738585072014e-308, LineElementParams(v=0.6)) == \
+            2.2250738585072014e-308 / 0.8
+
+    def test_overflowing_lifetime_rejected(self):
+        with pytest.raises(ValueError, match="overflows at tau_s = 1.7e"):
+            dilated_lifetime(1.7e308, LineElementParams(v=0.6))
+
+    @pytest.mark.parametrize("tau_s", [1.7e308, 5e-324])
+    def test_compare_frames_rejects_before_drawing(self, monkeypatch, tau_s):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr("lightclock.decay.run_ensemble", no_draw)
+        with pytest.raises(ValueError, match="rest lifetime|dilated lifetime"):
+            compare_frames(tau_s, LineElementParams(v=0.6), 10, 1)
+
 
 class TestChainRuleCheck:
     def test_passes_for_dilated_lifetime(self):

@@ -1,7 +1,8 @@
 """Import graph: each command loads only the lightclock modules it runs,
-only the decay path loads numpy, the thread pool only when more than one
-thread runs, and no command loads click or argparse.  The package's lazy
-exports are the same objects as its submodules' names.
+only the decay path loads numpy (and with it inspect), the thread pool only
+when more than one thread runs, and no command or submodule loads click,
+argparse or dataclasses.  The package's lazy exports are the same objects
+as its submodules' names.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and every lightclock module.  No timing is asserted, only
@@ -22,7 +23,9 @@ from lightclock.decay import BLOCK
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-HEAVY = ("numpy", "concurrent.futures", "click", "argparse")
+HEAVY = ("numpy", "inspect", "concurrent.futures", "click", "argparse", "dataclasses")
+# numpy loads inspect itself (numpy._core.overrides), so the decay path cannot drop it
+NUMPY = ["numpy", "inspect"]
 
 CHILD = """
 import sys
@@ -38,7 +41,7 @@ print("modules checked")
 PARSER = ["lightclock.cli", "lightclock.errors"]
 LINE_ELEMENT = ["lightclock.infinitesimals", "lightclock.line_element"]
 COMMAND_MODULES = {
-    "radar": sorted(PARSER + LINE_ELEMENT + ["lightclock.radar"]),
+    "radar": sorted(PARSER + ["lightclock.radar"]),
     "derive": sorted(PARSER + LINE_ELEMENT),
     "velmap": sorted(PARSER + LINE_ELEMENT),
     "decay": sorted(PARSER + LINE_ELEMENT + ["lightclock.decay"]),
@@ -110,8 +113,23 @@ def test_package_import_loads_no_submodule():
 def test_first_use_loads_only_that_submodule():
     # a submodule stays reachable as an attribute, as when __init__ imported it
     body = "import lightclock\nassert lightclock.radar.simulate_ping is lightclock.simulate_ping"
-    run_child(body, [], ["lightclock.errors", "lightclock.infinitesimals",
-                         "lightclock.line_element", "lightclock.radar"])
+    run_child(body, [], ["lightclock.errors", "lightclock.radar"])
+
+
+# what importing each submodule loads of lightclock
+MODULE_IMPORTS = {
+    "errors": ["lightclock.errors"],
+    "infinitesimals": ["lightclock.errors", "lightclock.infinitesimals"],
+    "line_element": ["lightclock.errors"] + LINE_ELEMENT,
+    "radar": ["lightclock.errors", "lightclock.radar"],
+    "decay": sorted(["lightclock.decay", "lightclock.errors"] + LINE_ELEMENT),
+    "cli": PARSER,
+}
+
+
+@pytest.mark.parametrize("module", MODULE_IMPORTS)
+def test_submodule_import_loads_none(module):
+    run_child(f"import lightclock.{module}", [], MODULE_IMPORTS[module])
 
 
 @pytest.mark.parametrize("argv", LEAN_ARGVS.values(), ids=LEAN_ARGVS.keys())
@@ -121,7 +139,7 @@ def test_lean_command_loads_neither(argv):
 
 def test_single_block_decay_loads_numpy_only():
     argv = ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1", "--workers", "2"]
-    run_child(CLI_BODY.format(argv=argv), ["numpy"], COMMAND_MODULES["decay"])
+    run_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
 
 
 def test_decay_command_loads_both():
@@ -129,7 +147,7 @@ def test_decay_command_loads_both():
     argv = ["decay", "--tau-s", "1", "--samples", str(2 * BLOCK + 8), "--seed", "1",
             "--workers", "2"]
     pool = ["concurrent.futures"] if (os.cpu_count() or 1) > 1 else []
-    run_child(CLI_BODY.format(argv=argv), ["numpy"] + pool, COMMAND_MODULES["decay"])
+    run_child(CLI_BODY.format(argv=argv), NUMPY + pool, COMMAND_MODULES["decay"])
 
 
 def test_exports_are_the_submodules_names():
