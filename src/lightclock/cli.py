@@ -20,12 +20,11 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from numbers import Real
 from pathlib import Path
 
 from . import __version__
-from .errors import LightClockError, Record
+from .errors import LightClockError, Record, check_light_speed
 
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
@@ -48,12 +47,22 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
+def _check_out(name: str, path: str) -> str:
+    """The one output-path check, of the flag and of the config value, made
+    before any work, so that no work is done for an output that must fail."""
+    if os.path.isdir(path):
+        raise ValueError(f"{name}: {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{name}: the directory of {path!r} does not exist")
+    return path
+
+
 class RunConfig(Record):
     """Defaults shared by all subcommands, overridable per flag.
 
     Documented ranges: ``c > 0``; ``0 <= tolerance <= 1e-6``; ``format``
-    one of ``csv``/``json``; ``out`` a path string.  Unknown keys in a config
-    file are rejected, and so are values of the wrong JSON type.
+    one of ``csv``/``json``; ``out`` a file path in an existing directory.
+    Unknown keys and values of the wrong JSON type are rejected.
     """
 
     c: float = 1.0
@@ -68,10 +77,11 @@ class RunConfig(Record):
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
             _check_finite(name, value)
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string, got {self.out!r}")
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if self.out is not None:
+            if not isinstance(self.out, str):
+                raise ValueError(f"out must be a path string, got {self.out!r}")
+            _check_out("out", self.out)
+        check_light_speed(self.c)
         if not 0 <= self.tolerance <= 1e-6:
             raise ValueError(f"tolerance must lie in [0, 1e-6], got {self.tolerance}")
         if self.format not in ("csv", "json"):
@@ -130,15 +140,12 @@ def radar(x0, v, t1, **flags):
     if not t1:
         raise ValueError("at least one --t1 emission time is required")
     records = [simulate_ping(Reflector(x0=x0, v=v), t, cfg.c) for t in t1]
+    header = ["t1", "t3", "c", "tE", "rE", "vE"]
+    rows = [[r.t1, r.t3, r.c, r.t_E, r.r_E, r.v_E] for r in records]
     if cfg.format == "json":
-        payload = [
-            {"t1": r.t1, "t3": r.t3, "c": r.c, "tE": r.t_E, "rE": r.r_E, "vE": r.v_E}
-            for r in records
-        ]
-        _emit(_json_text(payload), cfg.out)
+        _emit(_json_text([dict(zip(header, row)) for row in rows]), cfg.out)
     else:
-        rows = [[r.t1, r.t3, r.c, r.t_E, r.r_E, r.v_E] for r in records]
-        _emit(_csv(["t1", "t3", "c", "tE", "rE", "vE"], rows), cfg.out)
+        _emit(_csv(header, rows), cfg.out)
 
 
 def derive(v, d, c, exact, out):
@@ -146,12 +153,7 @@ def derive(v, d, c, exact, out):
     from .line_element import certify_derivation
 
     cfg = RunConfig.from_env(c=c, out=out)
-    c_q = Fraction(cfg.c)
-    if exact:
-        report = certify_derivation(v, d, c_q, exact=True)
-    else:
-        report = certify_derivation(float(v), float(d), float(c_q),
-                                    tol=cfg.tolerance)
+    report = certify_derivation(v, d, cfg.c, exact=exact, tol=cfg.tolerance)
     _emit(_json_text(report.as_dict()), cfg.out)
     if not report.passed:
         for line in report.failures:
@@ -161,12 +163,10 @@ def derive(v, d, c, exact, out):
 
 def decay(tau_s, v, samples, seed, workers, **flags):
     """Compare rest- and moving-frame decay ensembles against 1/gamma."""
-    from .decay import DEFAULT_TAU_BOUND, compare_frames
+    from .decay import compare_frames
     from .line_element import LineElementParams
 
     cfg = RunConfig.from_env(**flags)
-    if not 0 < tau_s <= DEFAULT_TAU_BOUND:
-        raise ValueError(f"--tau-s must lie in (0, {DEFAULT_TAU_BOUND}], got {tau_s}")
     params = LineElementParams(v=v, d=0.0, c=cfg.c)
     comparison = compare_frames(tau_s, params, samples, seed, workers=workers)
     report = comparison.as_dict()
@@ -219,7 +219,9 @@ def _integer(flag: str, text: str) -> int:
     return _number(int, flag, text)
 
 
-def _rational(flag: str, text: str) -> Fraction:
+def _rational(flag: str, text: str):
+    from fractions import Fraction  # only derive reads rationals
+
     try:
         value = Fraction(text)
         float(value)  # every report field is a float
@@ -230,10 +232,7 @@ def _rational(flag: str, text: str) -> Fraction:
 
 
 def _path(flag: str, text: str) -> str:
-    # checked up front, so that no work is done for an output that must fail
-    if os.path.isdir(text):
-        raise ValueError(f"argument {flag}: {text!r} is a directory")
-    return text
+    return _check_out(f"argument {flag}", text)
 
 
 def _format(flag: str, text: str) -> str:
@@ -271,7 +270,7 @@ _COMMANDS = {
         _C, _FORMAT, _OUT)),
     "derive": (derive, (
         _Option("--v", _rational, "Primary velocity.", required=True),
-        _Option("--d", _rational, "Secondary velocity term.", Fraction(0)),
+        _Option("--d", _rational, "Secondary velocity term.", 0),
         _Option("--c", _rational, _C.help),
         _Option("--exact", None, "Certify over exact rationals at zero tolerance."),
         _Option("--out", _path, "Write the JSON report to this path instead of stdout."))),

@@ -166,16 +166,15 @@ def operator_check(sol: SeparableSolution, r: float, t: float) -> bool:
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
     """Moving-frame mean lifetime ``tau_s / gamma``; never below ``tau_s``.
     ``tau_s`` must be a normal float (a subnormal keeps too few bits to be
-    divided by gamma), and the quotient finite."""
-    if not sys.float_info.min <= tau_s < math.inf:
-        raise ValueError(f"rest lifetime must be positive and finite, and at least "
-                         f"{sys.float_info.min!r}, got {tau_s}")
+    divided by gamma) of at most ``DEFAULT_TAU_BOUND``, so the quotient is
+    finite: a float speed ratio below 1 keeps ``gamma >= 2**-26``."""
+    if not sys.float_info.min <= tau_s <= DEFAULT_TAU_BOUND:
+        raise ValueError(f"rest lifetime must be positive and finite, at least "
+                         f"{sys.float_info.min!r} and at most {DEFAULT_TAU_BOUND:g}, "
+                         f"got {tau_s}")
     if p.d != 0:
         raise ValueError("decay dilation requires d = 0")
-    tau_m = tau_s / gamma_factor(p)
-    if tau_m == math.inf:
-        raise ValueError(f"dilated lifetime overflows at tau_s = {tau_s}, v = {p.v}")
-    return tau_m
+    return tau_s / gamma_factor(p)
 
 
 def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
@@ -194,7 +193,7 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     sees a wrong ``tau_m`` at every probe.  Passing an explicit ``tau_m``
     (e.g. ``tau_s * gamma``) turns this into a negative control.
     """
-    tau_dilated = dilated_lifetime(tau_s, p)  # rejects tau_s <= 0 and d != 0
+    tau_dilated = dilated_lifetime(tau_s, p)  # rejects a bad tau_s and d != 0
     gamma = gamma_factor(p)
     tau_m = tau_dilated if tau_m is None else tau_m
     if not 0 < tau_m < math.inf:

@@ -106,10 +106,8 @@ class TruncatedHyper(Record):
             return TruncatedHyper(tuple(a * other for a in self.coeffs))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, Real):
-            return TruncatedHyper(tuple(other * a for a in self.coeffs))
-        return NotImplemented
+    # scalar * series: the product commutes bit for bit, in float and in Fraction
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Real):

@@ -175,6 +175,14 @@ def line_element_m(dr: TruncatedHyper, dt: TruncatedHyper,
     return d_t * d_t * lam - (dr * dr) / lam
 
 
+def _speed_ratio(v, c):
+    """``v / c`` of a velocity map's input, which needs ``|v| < c``."""
+    check_light_speed(c)
+    if abs(v) >= c:
+        raise SuperluminalError(f"|v| = {abs(v)} >= c = {c}")
+    return v / c
+
+
 def nsppm_velocity(v, c=1.0):
     """Substratum velocity map ``w = (c/2)*ln((1+v**2/c**2)/(1-v**2/c**2))``.
 
@@ -182,10 +190,7 @@ def nsppm_velocity(v, c=1.0):
     as ``v -> c``.  Composed physical velocities correspond to *adding*
     their w-values.
     """
-    check_light_speed(c)
-    if abs(v) >= c:
-        raise SuperluminalError(f"|v| = {abs(v)} >= c = {c}")
-    u = (v / c) ** 2
+    u = _speed_ratio(v, c) ** 2
     # log1p difference evaluates ln((1+u)/(1-u)) without losing tiny u to
     # the 1+u rounding floor
     return 0.5 * c * (math.log1p(u) - math.log1p(-u))
@@ -197,10 +202,7 @@ def standard_rapidity(v, c=1.0):
     Provided only as a labelled alternate column for comparison with
     ``nsppm_velocity``; nothing in this package derives from it.
     """
-    check_light_speed(c)
-    if abs(v) >= c:
-        raise SuperluminalError(f"|v| = {abs(v)} >= c = {c}")
-    u = v / c
+    u = _speed_ratio(v, c)
     return 0.5 * c * math.log((1 + u) / (1 - u))
 
 

@@ -220,6 +220,28 @@ class TestDecayCommand:
         assert_rejected(result)
         assert result.stderr == f"error: argument --out: {str(tmp_path)!r} is a directory\n"
 
+    def test_out_in_missing_directory_rejected_before_drawing(self, cli, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setattr(decay_module, "compare_frames", None)  # never reached
+        target = str(tmp_path / "missing" / "x.json")
+        result = cli(["decay", "--tau-s", "1", "--out", target])
+        assert_rejected(result)
+        assert result.stderr == \
+            f"error: argument --out: the directory of {target!r} does not exist\n"
+
+    @pytest.mark.parametrize("out, problem", [
+        ("", "is a directory"), ("missing/x.json", "does not exist")])
+    def test_config_out_rejected_before_drawing(self, cli, tmp_path, monkeypatch,
+                                                out, problem):
+        # the config is checked alone, so an --out that overrides it does not save it
+        monkeypatch.setattr(decay_module, "compare_frames", None)  # never reached
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(tmp_path / out)}))
+        result = cli(["decay", "--tau-s", "1", "--out", str(tmp_path / "x.json")],
+                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
+        assert_rejected(result)
+        assert result.stderr.startswith("error: out: ") and problem in result.stderr
+
 
 class TestVelmapCommand:
     def test_table_shape_and_first_row(self, cli):

@@ -13,6 +13,7 @@ from lightclock.decay import (
     BLOCK,
     MAX_SAMPLES,
     DecayModel,
+    EnsembleRun,
     SeparableSolution,
     _leaf_lifetimes,
     chain_rule_check,
@@ -276,8 +277,38 @@ class TestDilatedLifetime:
             2.2250738585072014e-308 / 0.8
 
     def test_overflowing_lifetime_rejected(self):
-        with pytest.raises(ValueError, match="overflows at tau_s = 1.7e"):
+        # beyond the bound, so tau_s / gamma cannot overflow
+        with pytest.raises(ValueError, match="at most 1e\\+15, got 1.7e\\+308"):
             dilated_lifetime(1.7e308, LineElementParams(v=0.6))
+
+    def test_lifetime_at_the_bound_accepted(self):
+        assert dilated_lifetime(1e15, LineElementParams(v=0.6)) == 1e15 / 0.8
+        # the fastest float speed keeps gamma = 2**-26, so tau_m stays finite
+        fastest = LineElementParams(v=math.nextafter(1.0, 0.0))
+        assert dilated_lifetime(1e15, fastest) == 1e15 * 2.0 ** 26
+
+    def test_lifetime_beyond_the_bound_rejected(self):
+        with pytest.raises(ValueError, match="at most 1e\\+15"):
+            dilated_lifetime(math.nextafter(1e15, math.inf), LineElementParams(v=0.6))
+
+    def test_compare_frames_draws_at_the_bound(self, monkeypatch):
+        drawn = []
+
+        def record_draw(tau, *args, **kwargs):
+            drawn.append(tau)
+            return EnsembleRun(sample_count=10, seed=1, tau_hat=tau, stderr=0.0)
+
+        monkeypatch.setattr("lightclock.decay.run_ensemble", record_draw)
+        report = compare_frames(1e15, LineElementParams(v=0.6), 10, 1)
+        assert drawn == [1e15, 1e15 / 0.8] and report.ratio == 1.25
+
+    def test_compare_frames_rejects_beyond_the_bound_before_drawing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an ensemble was drawn")
+
+        monkeypatch.setattr("lightclock.decay.run_ensemble", no_draw)
+        with pytest.raises(ValueError, match="at most 1e\\+15"):
+            compare_frames(math.nextafter(1e15, math.inf), LineElementParams(v=0.6), 10, 1)
 
     @pytest.mark.parametrize("tau_s", [1.7e308, 5e-324])
     def test_compare_frames_rejects_before_drawing(self, monkeypatch, tau_s):

@@ -137,6 +137,17 @@ def test_lean_command_loads_neither(argv):
     run_child(CLI_BODY.format(argv=argv), [], COMMAND_MODULES[argv[0]])
 
 
+# derive, velmap and decay load both, through line_element and infinitesimals
+RATIONALS = {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("name", ["radar_json", "help", "version"])
+def test_start_up_loads_no_rationals(name):
+    argv = LEAN_ARGVS[name]
+    body = CLI_BODY.format(argv=argv) + f"assert not {RATIONALS!r} & set(sys.modules)\n"
+    run_child(body, [], COMMAND_MODULES[argv[0]])
+
+
 def test_single_block_decay_loads_numpy_only():
     argv = ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1", "--workers", "2"]
     run_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
