@@ -24,6 +24,7 @@ import json
 import random
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 from conftest import invoke_cli
@@ -152,9 +153,7 @@ def test_corpus_is_drawn_from_the_seed():
 
 def test_every_case_keeps_its_output():
     changed = [argv for sha, argv in read_corpus() if digest(argv) != sha]
-    by_command = {}
-    for argv in changed:
-        by_command[argv[0]] = by_command.get(argv[0], 0) + 1
+    by_command = dict(Counter(argv[0] for argv in changed))
     assert not changed, (f"{len(changed)} cases changed, by first token {by_command}; "
                          f"the first: {[shlex.join(a) for a in changed[:5]]}")
 
