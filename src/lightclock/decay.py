@@ -56,25 +56,32 @@ _SEED_LIMIT = 2 ** 64
 _FRAME_KEY_SALT = 0x9E3779B97F4A7C15
 
 
+def _check_rest_lifetime(tau_s: float) -> None:
+    """The one rest-lifetime rule: ``tau_s`` is a normal float (a subnormal
+    keeps too few bits to be divided by gamma) of at most
+    ``DEFAULT_TAU_BOUND``, a sanity guard, not a physical constant.  Negated,
+    so NaN fails it."""
+    if not sys.float_info.min <= tau_s <= DEFAULT_TAU_BOUND:
+        raise ValueError(f"rest lifetime must be positive and finite, at least "
+                         f"{sys.float_info.min!r} and at most {DEFAULT_TAU_BOUND:g}, "
+                         f"got {tau_s}")
+
+
 class DecayModel(Record):
     """Exponentially decaying population ``n0`` with mean lifetime ``tau``.
 
-    ``n0`` must be positive and finite and ``tau`` lie in
-    (0, DEFAULT_TAU_BOUND]; the bound is a sanity guard, not a physical
-    constant.
+    ``n0`` must be positive and finite and ``tau`` a rest lifetime as
+    ``_check_rest_lifetime`` accepts it.
     """
 
     n0: float
     tau: float
 
     def __post_init__(self):
-        # negated comparisons, so NaN fails each check it reaches
+        # negated comparison, so NaN fails it
         if not 0 < self.n0 < math.inf:
             raise ValueError(f"initial population must be positive and finite, got {self.n0}")
-        if not 0 < self.tau <= DEFAULT_TAU_BOUND:
-            raise ValueError(
-                f"mean lifetime must lie in (0, {DEFAULT_TAU_BOUND}], got {self.tau}"
-            )
+        _check_rest_lifetime(self.tau)
 
 
 def population(model: DecayModel, t: float) -> float:
@@ -165,13 +172,9 @@ def operator_check(sol: SeparableSolution, r: float, t: float) -> bool:
 
 def dilated_lifetime(tau_s: float, p: LineElementParams) -> float:
     """Moving-frame mean lifetime ``tau_s / gamma``; never below ``tau_s``.
-    ``tau_s`` must be a normal float (a subnormal keeps too few bits to be
-    divided by gamma) of at most ``DEFAULT_TAU_BOUND``, so the quotient is
-    finite: a float speed ratio below 1 keeps ``gamma >= 2**-26``."""
-    if not sys.float_info.min <= tau_s <= DEFAULT_TAU_BOUND:
-        raise ValueError(f"rest lifetime must be positive and finite, at least "
-                         f"{sys.float_info.min!r} and at most {DEFAULT_TAU_BOUND:g}, "
-                         f"got {tau_s}")
+    ``tau_s`` must pass ``_check_rest_lifetime``, so the quotient is finite:
+    a float speed ratio below 1 keeps ``gamma >= 2**-26``."""
+    _check_rest_lifetime(tau_s)
     if p.d != 0:
         raise ValueError("decay dilation requires d = 0")
     return tau_s / gamma_factor(p)

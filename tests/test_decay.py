@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -83,6 +84,18 @@ class TestDecayModel:
             DecayModel(n0=1.0, tau=0.0)
         with pytest.raises(ValueError):
             DecayModel(n0=1.0, tau=1e16)  # beyond the default bound
+
+    @pytest.mark.parametrize("tau", [5e-324, math.nextafter(1e15, math.inf), math.nan])
+    def test_lifetime_follows_the_rest_lifetime_rule(self, tau):
+        with pytest.raises(ValueError) as model_error:
+            DecayModel(n0=1.0, tau=tau)
+        with pytest.raises(ValueError) as dilation_error:
+            dilated_lifetime(tau, LineElementParams(v=0.6))
+        assert str(model_error.value) == str(dilation_error.value)
+
+    def test_lifetime_bounds_are_accepted(self):
+        for tau in (sys.float_info.min, 1e15):
+            assert DecayModel(n0=1.0, tau=tau).tau == tau
 
     @pytest.mark.parametrize("n0", [math.nan, math.inf, -math.inf])
     def test_non_finite_population_rejected(self, n0):
