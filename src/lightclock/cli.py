@@ -24,7 +24,7 @@ from numbers import Real
 from pathlib import Path
 
 from . import __version__
-from .errors import LightClockError, Record, check_light_speed
+from .errors import LightClockError, Record, check_light_speed, check_speed
 
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
@@ -57,6 +57,13 @@ def _check_out(name: str, path: str) -> str:
     return path
 
 
+def _check_format(name: str, value: str) -> str:
+    """The one output-format check, of the flag and of the config value."""
+    if value not in ("csv", "json"):
+        raise ValueError(f"{name}: invalid choice: {value!r} (choose from 'csv', 'json')")
+    return value
+
+
 class RunConfig(Record):
     """Defaults shared by all subcommands, overridable per flag.
 
@@ -66,6 +73,7 @@ class RunConfig(Record):
     """
 
     c: float = 1.0
+    # line_element.IDENTITY_TOL, spelled out so that a config never imports line_element
     tolerance: float = 1e-12
     format: str = "csv"
     out: str | None = None
@@ -84,8 +92,7 @@ class RunConfig(Record):
         check_light_speed(self.c)
         if not 0 <= self.tolerance <= 1e-6:
             raise ValueError(f"tolerance must lie in [0, 1e-6], got {self.tolerance}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
+        _check_format("format", self.format)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -186,8 +193,9 @@ def velmap(vmax, steps, alternate, **flags):
     from .line_element import nsppm_velocity, standard_rapidity
 
     cfg = RunConfig.from_env(**flags)
-    if not 0 <= vmax < cfg.c:
-        raise ValueError(f"--vmax must lie in [0, c), got {vmax} with c = {cfg.c}")
+    check_speed(vmax, cfg.c)
+    if vmax < 0:
+        raise ValueError(f"--vmax must be nonnegative, got {vmax}")
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"--steps must lie in 1..{MAX_STEPS}, got {steps}")
     header = ["v", "w"] + (["w_alt"] if alternate else [])
@@ -236,10 +244,7 @@ def _path(flag: str, text: str) -> str:
 
 
 def _format(flag: str, text: str) -> str:
-    if text not in ("csv", "json"):
-        raise ValueError(f"argument {flag}: invalid choice: {text!r} "
-                         "(choose from 'csv', 'json')")
-    return text
+    return _check_format(f"argument {flag}", text)
 
 
 class _Option(Record):
@@ -284,9 +289,9 @@ _COMMANDS = {
         _Option("--seed", _integer, "Unsigned 64-bit seed of the counter-based stream.", 0),
         # 2^17 is decay.BLOCK, spelled out for the same reason
         _Option("--workers", _integer,
-                "Threads over fixed 2^17-sample blocks, capped at the CPU count; "
-                "memory is O(threads x 1 MiB) and the report is identical for "
-                "any value.", 1),
+                "Threads, capped at the CPU count, over the leaves of numpy's pairwise "
+                "sum: at most 2^17 samples each, sized by --samples; memory is "
+                "O(threads x 1 MiB) and the report is identical for any value.", 1),
         _FORMAT, _OUT)),
     "velmap": (velmap, (
         _Option("--vmax", _finite_float, "Largest tabulated velocity; must stay below c.",

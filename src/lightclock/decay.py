@@ -32,7 +32,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import Record
+from .errors import Record, check_positive
 from .line_element import LineElementParams, gamma_factor, lambda_factor, report_dict
 
 if TYPE_CHECKING:
@@ -78,9 +78,7 @@ class DecayModel(Record):
     tau: float
 
     def __post_init__(self):
-        # negated comparison, so NaN fails it
-        if not 0 < self.n0 < math.inf:
-            raise ValueError(f"initial population must be positive and finite, got {self.n0}")
+        check_positive("initial population", self.n0)
         _check_rest_lifetime(self.tau)
 
 
@@ -98,8 +96,7 @@ def _ddt_forward(f, t: float, h: float) -> float:
 
 def _ddt(f, t: float, h: float) -> float:
     """df/dt at t >= 0 by central differences, or forward ones within h of 0."""
-    if not 0 < h < math.inf:  # negated, so NaN fails it
-        raise ValueError(f"step must be positive and finite, got {h}")
+    check_positive("step", h)
     return (f(t + h) - f(t - h)) / (2.0 * h) if t >= h else _ddt_forward(f, t, h)
 
 
@@ -199,8 +196,7 @@ def chain_rule_check(tau_s: float, p: LineElementParams, t_probe: float,
     tau_dilated = dilated_lifetime(tau_s, p)  # rejects a bad tau_s and d != 0
     gamma = gamma_factor(p)
     tau_m = tau_dilated if tau_m is None else tau_m
-    if not 0 < tau_m < math.inf:
-        raise ValueError(f"tau_m must be positive and finite, got {tau_m}")
+    check_positive("tau_m", tau_m)
     n = _probe_population(math.exp(-t_probe / tau_s), t_probe)
     # t_m / tau_m, dividing by tau_m first, so it stays finite where tau_m >= tau_s
     return (_close(n, math.exp(-(t_probe / tau_m) / gamma), t_probe / tau_s)
@@ -282,8 +278,7 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
     for fixed (tau, sample_count, seed) regardless of ``workers``.  At most
     ``MAX_SAMPLES`` lifetimes are drawn.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError(f"mean lifetime must be positive and finite, got {tau}")
+    check_positive("mean lifetime", tau)
     if not 1 <= sample_count <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {sample_count}")
     if not 0 <= seed < _SEED_LIMIT:

@@ -1,5 +1,5 @@
-"""Exception types, the record base and the light-speed check shared across
-the lightclock package; every command loads this module."""
+"""Exception types, the record base and the input rules shared across the
+lightclock package; every command loads this module."""
 
 import math
 
@@ -36,10 +36,24 @@ class PoleError(LightClockError, ZeroDivisionError):
     """Vanishing denominator in a velocity-ratio evaluation."""
 
 
+def check_positive(name: str, value) -> None:
+    """The one positive-and-finite rule; negated, so NaN fails it like 0 and inf."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def check_light_speed(c) -> None:
-    """The one light-speed check; negated, so NaN fails it like 0 and inf."""
-    if not 0 < c < math.inf:
-        raise ValueError(f"light speed must be positive and finite, got {c}")
+    """The light-speed rule: ``c`` is positive and finite."""
+    check_positive("light speed", c)
+
+
+def check_speed(v, c) -> None:
+    """The one slower-than-light rule, ``|v| < c``, after the light-speed rule;
+    negated, so NaN fails it."""
+    check_light_speed(c)
+    if not abs(v) < c:
+        raise SuperluminalError(
+            f"superluminal: the speed {v} is not below c = {c} in magnitude")
 
 
 class Record:

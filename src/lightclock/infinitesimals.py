@@ -165,7 +165,7 @@ def grid_approximate(r, omega: int) -> GridApprox:
     1/(2*omega)`` exactly (the comparison is done in rational arithmetic,
     so the bound holds for the binary value of a float input, not a decimal
     ideal of it).  Reals within half a grid step of ``+-omega`` have no
-    admissible grid point and are rejected as out of grid.
+    admissible grid point, and ``GridApprox``'s grid bound rejects them.
     """
     if not isinstance(omega, int) or isinstance(omega, bool) or omega < 1:
         raise ValueError(f"omega must be a positive integer, got {omega!r}")
@@ -175,9 +175,4 @@ def grid_approximate(r, omega: int) -> GridApprox:
         raise TypeError(f"target {r!r} is not a real number")
     if abs(r) >= omega:
         raise OutOfGridError(f"|{r}| >= omega={omega}: target outside the grid range")
-    m = round(Fraction(r) * omega)
-    if abs(m) >= omega * omega:
-        raise OutOfGridError(
-            f"{r} rounds to the grid boundary m={m} at omega={omega}"
-        )
-    return GridApprox(m, omega)
+    return GridApprox(round(Fraction(r) * omega), omega)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import (CausalityError, DegeneratePairError, GeometryError, Record,
-                     SuperluminalError, check_light_speed)
+                     check_light_speed, check_speed)
 
 
 class RadarRecord(Record):
@@ -49,8 +49,9 @@ class RadarRecord(Record):
 
 def einstein_measures(t1: float, t3: float, c: float) -> RadarRecord:
     """Einstein time, distance and (when defined) velocity from one exchange."""
-    t_e = 0.5 * (t3 + t1)
-    r_e = 0.5 * c * (t3 - t1)
+    # halved by division, so rational inputs stay exact
+    t_e = (t3 + t1) / 2
+    r_e = c / 2 * (t3 - t1)
     v_e = r_e / t_e if t_e != 0 else None
     return RadarRecord(t1=t1, t3=t3, c=c, t_E=t_e, r_E=r_e, v_E=v_e)
 
@@ -70,15 +71,12 @@ def simulate_ping(refl: Reflector, t1: float, c: float = 1.0) -> RadarRecord:
 
     The outbound pulse emitted at ``t1`` from the origin meets the worldline
     at ``t_r = (x0 + c*t1) / (c - v)``; the echo returns after a further
-    ``x(t_r)/c``.  The reflector must be slower than light and strictly
-    ahead of the emitter (positive position) at the reflection event, and
-    the closing speed ``c - v`` must not overflow the float range.
+    ``x(t_r)/c``.  The reflector must be slower than light, strictly ahead
+    of the emitter (positive position) at emission and not behind it at the
+    reflection event, and the closing speed ``c - v`` must not overflow the
+    float range.
     """
-    check_light_speed(c)
-    if abs(refl.v) >= c:
-        raise SuperluminalError(
-            f"|v|={abs(refl.v)} >= c={c}: no intercept with a superluminal reflector"
-        )
+    check_speed(refl.v, c)
     closing = c - refl.v
     if not math.isfinite(closing):
         raise GeometryError(f"closing speed c - v overflows at c={c}, v={refl.v}")

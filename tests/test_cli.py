@@ -13,7 +13,7 @@ import pytest
 import lightclock
 from lightclock import cli as cli_module
 from lightclock import decay as decay_module
-from lightclock.line_element import certify_derivation
+from lightclock.line_element import IDENTITY_TOL, certify_derivation
 from lightclock.schemas import load_schema
 
 
@@ -404,9 +404,14 @@ class TestHelpAndErrors:
         # literals in cli too; spaces dropped, so that no line layout of the help matters
         block = decay_module.BLOCK
         assert block == 2 ** (block.bit_length() - 1)
-        expected = (f"Threads over fixed 2^{block.bit_length() - 1}-sample blocks, capped "
-                    f"at the CPU count; memory is O(threads x {8 * block // 2 ** 20} MiB)")
+        expected = (f"Threads, capped at the CPU count, over the leaves of numpy's pairwise "
+                    f"sum: at most 2^{block.bit_length() - 1} samples each, sized by "
+                    f"--samples; memory is O(threads x {8 * block // 2 ** 20} MiB)")
         assert "".join(expected.split()) in "".join(cli(["decay", "--help"]).stdout.split())
+
+    def test_default_tolerance_is_the_library_one(self):
+        # a literal in cli, so that reading a config never imports line_element
+        assert cli_module.RunConfig().tolerance == IDENTITY_TOL
 
     def test_version(self, cli):
         result = cli(["--version"])

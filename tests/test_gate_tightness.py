@@ -14,7 +14,15 @@ import pytest
 from lightclock import cli as cli_module
 from lightclock import decay
 from lightclock.cli import RunConfig
-from lightclock.decay import EnsembleRun, _close, chain_rule_check, compare_frames
+from lightclock.decay import (
+    DecayModel,
+    EnsembleRun,
+    _close,
+    chain_rule_check,
+    compare_frames,
+    ode_residual,
+)
+from lightclock.errors import OutOfGridError
 from lightclock.infinitesimals import (
     CLOSENESS_TOL,
     TruncatedHyper,
@@ -22,6 +30,7 @@ from lightclock.infinitesimals import (
     infinitely_close,
 )
 from lightclock.line_element import LineElementParams, gamma_factor
+from lightclock.radar import Reflector, simulate_ping
 
 EPS = sys.float_info.epsilon
 
@@ -104,3 +113,21 @@ def test_truncated_hyper_rejects_a_non_real_coefficient(coeff):
 def test_grid_approximate_rejects_a_bad_omega(omega):
     with pytest.raises(ValueError, match="omega must be a positive integer"):
         grid_approximate(0.5, omega)
+
+
+def test_central_difference_starts_at_one_step():
+    # at t = h the central stencil's f(t - h) = f(0) lies inside t >= 0; the
+    # forward stencil there would leave a residual of about h / 2
+    assert abs(ode_residual(DecayModel(n0=1.0, tau=1.0), 1e-4, 1e-4)) <= 1e-7
+
+
+def test_grid_approximate_reports_a_target_at_omega_as_outside():
+    # GridApprox would reject its m = omega**2 too, with the rounding message
+    with pytest.raises(OutOfGridError, match="target outside the grid range"):
+        grid_approximate(2, 2)
+
+
+def test_reflection_position_that_rounds_to_zero_is_not_negative():
+    # x(t_r) = c * (t_r - t1) > 0 exactly, but x0 + v * t_r rounds to 0.0 here
+    record = simulate_ping(Reflector(x0=5e-324, v=-0.9), 0.0)
+    assert (record.t3, record.r_E, record.v_E) == (5e-324, 0.0, None)

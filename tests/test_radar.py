@@ -1,6 +1,8 @@
 """Tests for the radar measurement protocol."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -122,3 +124,18 @@ class TestRadarVelocity:
         refl = Reflector(x0=0.0, v=v)
         r = simulate_ping(refl, t1, 1.0)
         assert r.r_E == pytest.approx(refl.position(r.t_E), rel=1e-12)
+
+
+def test_two_ping_velocity_is_exact_for_rational_reflectors():
+    # einstein_measures halves by division, so Fraction inputs stay Fractions
+    rng = random.Random(12)
+    for _ in range(500):
+        c = Fraction(rng.randint(1, 300), rng.randint(1, 100))
+        v = c * Fraction(rng.randint(-999, 999), 1000)
+        x0 = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 1000))
+        # a ping is valid while the reflector is ahead of the emitter
+        span = x0 / -v if v < 0 else Fraction(100)
+        t1a, t1b = sorted(span * Fraction(k, 1000) for k in rng.sample(range(1000), 2))
+        refl = Reflector(x0=x0, v=v)
+        measured = radar_velocity(simulate_ping(refl, t1a, c), simulate_ping(refl, t1b, c))
+        assert type(measured) is Fraction and measured == v
