@@ -173,6 +173,7 @@ def grid_approximate(r, omega: int) -> GridApprox:
         raise ValueError(f"target {r!r} is not finite")
     if not isinstance(r, (Rational, float)):
         raise TypeError(f"target {r!r} is not a real number")
+    # GridApprox would reject these too; this keeps a huge m out of the message
     if abs(r) >= omega:
         raise OutOfGridError(f"|{r}| >= omega={omega}: target outside the grid range")
     return GridApprox(round(Fraction(r) * omega), omega)

@@ -13,14 +13,13 @@ Operators", ACM TOSEM 5(2), 1996):
 The checkout is never edited.  ``src``, ``tests``, ``pyproject.toml`` and
 ``README.md`` are copied to a temporary directory; each mutant rewrites one
 module there (as ``ast.unparse`` prints it, so comments are dropped) and runs
-``pytest -x`` on the chosen tests.  The mutant is killed when pytest fails or
-times out.  One JSON line per mutant, with the first failed test, goes to
-stdout, and the counts to stderr.  Before the first mutant, the unparsed but
-unmutated modules must pass the same tests.
+``pytest -x tests``: every test, so a survivor is one that no test kills.  The
+mutant is killed when pytest fails or times out.  One JSON line per mutant,
+with the first failed test, goes to stdout, and the counts to stderr.  Before
+the first mutant, the unparsed but unmutated modules must pass the tests.
 
     python tests/mutation_sweep.py \\
-        --function errors.check_speed --function radar.simulate_ping \\
-        --tests tests/test_radar.py tests/test_input_rules.py > sweep.jsonl
+        --function errors.check_speed --function radar.simulate_ping > sweep.jsonl
 
 ``--function MODULE.QUALNAME`` (repeatable) limits the sites to the bodies of
 those functions and classes; without it every site of every module is
@@ -125,12 +124,12 @@ def mutate(module, source, wanted, target=None):
     return ast.unparse(tree) + "\n", mutator.applied, mutator.count
 
 
-def run_tests(workdir, tests):
+def run_tests(workdir):
     """None when the tests pass in ``workdir``, else what failed first."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
-                               "-p", "no:cacheprovider", *tests], cwd=workdir, env=env,
+                               "-p", "no:cacheprovider", "tests"], cwd=workdir, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -145,8 +144,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--function", action="append", default=[],
                         help="MODULE.QUALNAME whose body to mutate; repeatable")
-    parser.add_argument("--tests", nargs="+", default=["tests"],
-                        help="pytest paths, relative to the repository root")
     args = parser.parse_args(argv)
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / PACKAGE).glob("*.py"))}
@@ -164,7 +161,7 @@ def main(argv=None):
         for module in counts:
             (workdir / PACKAGE / f"{module}.py").write_text(
                 mutate(module, sources[module], args.function)[0], encoding="utf-8")
-        failed = run_tests(workdir, args.tests)
+        failed = run_tests(workdir)
         if failed:
             sys.exit(f"the unmutated modules, as ast.unparse prints them, fail: {failed}")
         killed = survived = 0
@@ -175,7 +172,7 @@ def main(argv=None):
                 text, site, _ = mutate(module, sources[module], args.function, target)
                 path.write_text(text, encoding="utf-8")
                 start = time.perf_counter()
-                site["failed"] = run_tests(workdir, args.tests)
+                site["failed"] = run_tests(workdir)
                 site["killed"] = site["failed"] is not None
                 site["seconds"] = round(time.perf_counter() - start, 1)
                 killed, survived = killed + site["killed"], survived + (not site["killed"])
