@@ -6,11 +6,12 @@ and the reading rules of ``cli._read`` (a repeated flag, ``--flag=value``,
 an unknown flag, a missing value, ``--``, ``--help``, ``--version``).  Each
 case runs in-process through ``cli.main`` with ``LIGHTCLOCK_CONFIG`` unset
 and without ``--out``, so no case depends on a file or a temporary path.
-The sha256 of (argv, exit code, stdout, stderr) must equal the digest on
-the case's line of ``data/differential.txt``.
+Each line of ``data/differential.txt`` holds a case's exit code, the sha256
+of its stdout and the sha256 of its stderr, then its argv; all three must
+match.
 
 An intended output change regenerates that file, and its diff shows which
-argvs changed:
+part of which argv changed:
 
     PYTHONPATH=src python tests/test_differential.py --regen
 
@@ -20,7 +21,6 @@ takes another path on a host without AVX512).
 """
 
 import hashlib
-import json
 import random
 import shlex
 import sys
@@ -129,10 +129,14 @@ def draw_argvs():
     return [_argv(rng, command) for command in COMMANDS for _ in range(CASES_PER_COMMAND)]
 
 
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def digest(argv):
+    """The exit code and the sha256 of stdout and of stderr, as one line's prefix."""
     result = invoke_cli(argv, env={ENV_CONFIG: None})
-    case = [argv, result.exit_code, result.stdout, result.stderr]
-    return hashlib.sha256(json.dumps(case).encode("utf-8")).hexdigest()
+    return f"{result.exit_code} {_sha(result.stdout)} {_sha(result.stderr)}"
 
 
 def read_corpus():
@@ -140,8 +144,8 @@ def read_corpus():
     cases = []
     for line in CORPUS.read_text(encoding="utf-8").splitlines():
         if line and not line.startswith("#"):
-            sha, text = line.split(" ", 1)
-            cases.append((sha, shlex.split(text)))
+            code, out, err, text = line.split(" ", 3)
+            cases.append((f"{code} {out} {err}", shlex.split(text)))
     return cases
 
 
@@ -159,7 +163,7 @@ def test_every_case_keeps_its_output():
 
 
 def regenerate():
-    lines = ["# sha256 of [argv, exit code, stdout, stderr] as JSON, then the argv;",
+    lines = ["# exit code, sha256 of stdout, sha256 of stderr (UTF-8), then the argv;",
              "# written by: PYTHONPATH=src python tests/test_differential.py --regen"]
     lines += [f"{digest(argv)} {shlex.join(argv)}" for argv in draw_argvs()]
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
