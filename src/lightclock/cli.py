@@ -139,48 +139,46 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def radar(x0, v, t1, **flags):
+def _write(report, fmt: str, out: str | None) -> None:
+    """The one writer of a report, a dict or a list of dicts with the same
+    keys: JSON, or CSV under a header row of the keys."""
+    if fmt == "json":
+        _emit(_json_text(report), out)
+    else:
+        rows = report if isinstance(report, list) else [report]
+        _emit(_csv(list(rows[0]), [list(row.values()) for row in rows]), out)
+
+
+def radar(cfg, x0, v, t1):
     """Ping a uniformly moving reflector and print Einstein measures."""
     from .radar import Reflector, simulate_ping
 
-    cfg = RunConfig.from_env(**flags)
     if not t1:
         raise ValueError("at least one --t1 emission time is required")
     records = [simulate_ping(Reflector(x0=x0, v=v), t, cfg.c) for t in t1]
-    header = ["t1", "t3", "c", "tE", "rE", "vE"]
-    rows = [[r.t1, r.t3, r.c, r.t_E, r.r_E, r.v_E] for r in records]
-    if cfg.format == "json":
-        _emit(_json_text([dict(zip(header, row)) for row in rows]), cfg.out)
-    else:
-        _emit(_csv(header, rows), cfg.out)
+    _write([r.as_dict() for r in records], cfg.format, cfg.out)
 
 
-def derive(v, d, c, exact, out):
+def derive(cfg, v, d, exact):
     """Certify the line-element derivation chain at one (v, d, c)."""
     from .line_element import certify_derivation
 
-    cfg = RunConfig.from_env(c=c, out=out)
     report = certify_derivation(v, d, cfg.c, exact=exact, tol=cfg.tolerance)
-    _emit(_json_text(report.as_dict()), cfg.out)
+    _write(report.as_dict(), "json", cfg.out)
     if not report.passed:
         for line in report.failures:
             print(f"certification check failed: {line}", file=sys.stderr)
         sys.exit(EXIT_CERTIFICATION)
 
 
-def decay(tau_s, v, samples, seed, workers, **flags):
+def decay(cfg, tau_s, v, samples, seed, workers):
     """Compare rest- and moving-frame decay ensembles against 1/gamma."""
     from .decay import compare_frames
     from .line_element import LineElementParams
 
-    cfg = RunConfig.from_env(**flags)
     params = LineElementParams(v=v, d=0.0, c=cfg.c)
     comparison = compare_frames(tau_s, params, samples, seed, workers=workers)
-    report = comparison.as_dict()
-    if cfg.format == "json":
-        _emit(_json_text(report), cfg.out)
-    else:
-        _emit(_csv(list(report), [list(report.values())]), cfg.out)
+    _write(comparison.as_dict(), cfg.format, cfg.out)
     if not abs(comparison.z_score) <= Z_GATE:
         print(f"dilation check failed: z = {comparison.z_score!r} is outside "
               f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
@@ -188,11 +186,10 @@ def decay(tau_s, v, samples, seed, workers, **flags):
         sys.exit(EXIT_STATISTICAL)
 
 
-def velmap(vmax, steps, alternate, **flags):
+def velmap(cfg, vmax, steps, alternate):
     """Tabulate the substratum velocity map w(v) as CSV."""
     from .line_element import nsppm_velocity, standard_rapidity
 
-    cfg = RunConfig.from_env(**flags)
     check_speed(vmax, cfg.c)
     if vmax < 0:
         raise ValueError(f"--vmax must be nonnegative, got {vmax}")
@@ -408,7 +405,8 @@ def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> None
     """
     try:
         run, values = _read(sys.argv[1:] if argv is None else list(argv))
-        run(**values)
+        flags = {key: values.pop(key) for key in RunConfig._fields if key in values}
+        run(RunConfig.from_env(**flags), **values)
     except (LightClockError, ValueError, OverflowError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

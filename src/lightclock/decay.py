@@ -33,7 +33,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import Record, check_positive
-from .line_element import LineElementParams, gamma_factor, lambda_factor, report_dict
+from .line_element import LineElementParams, gamma_factor, lambda_factor
 
 if TYPE_CHECKING:
     import numpy as np
@@ -310,8 +310,7 @@ class FrameComparison(Record):
     samples: int
     seed: int
 
-    def as_dict(self) -> dict:
-        return report_dict(self, lam="lambda")
+    _renames = {"lam": "lambda"}
 
 
 def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,

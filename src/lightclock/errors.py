@@ -56,14 +56,28 @@ def check_speed(v, c) -> None:
             f"superluminal: the speed {v} is not below c = {c} in magnitude")
 
 
+def _json_value(value):
+    """A record field as JSON data: a tuple to a list of floats, a dict copied,
+    a rational such as ``Fraction`` (not imported here) to float."""
+    if isinstance(value, tuple):
+        return [float(x) for x in value]
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, int) or not hasattr(value, "denominator"):
+        return value
+    return float(value)
+
+
 class Record:
     """Base of the package's immutable records.  The fields are the subclass's
     own annotations, in order, and a class attribute of the same name is a
     field's default.  ``__init__`` takes them by position or keyword, then
     calls ``__post_init__``.  Fields named in ``_uncompared`` are left out of
-    ``==``, ``hash`` and the JSON reports."""
+    ``==``, ``hash`` and ``as_dict``, which keys the others by the name
+    ``_renames`` gives them, or else by their own."""
 
     _uncompared = ()
+    _renames = {}
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
@@ -113,6 +127,11 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def as_dict(self) -> dict:
+        """The compared fields, in order, as the JSON data of a report."""
+        values = self.__dict__
+        return {self._renames.get(f, f): _json_value(values[f]) for f in self._compared}
 
     def _replace(self, **changes):
         """A copy with the given fields changed, checked like a new record."""

@@ -224,22 +224,6 @@ def compose_velocities_additive_w(v1, v2, c=1.0):
     return invert_nsppm_velocity(total, c)
 
 
-def _json_value(value):
-    """A report field as JSON data: Fraction to float, tuple to float list."""
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, tuple):
-        return [float(x) for x in value]
-    if isinstance(value, dict):
-        return dict(value)
-    return value
-
-
-def report_dict(report, **renames) -> dict:
-    """Every compared field of a report record, in order, keyed by name or rename."""
-    return {renames.get(f, f): _json_value(getattr(report, f)) for f in report._compared}
-
-
 def _relative_error(a, b) -> float:
     if a == b:
         return 0.0
@@ -279,9 +263,6 @@ class CertificationReport(Record):
     failures: tuple = ()
 
     _uncompared = ("failures",)
-
-    def as_dict(self) -> dict:
-        return report_dict(self)
 
 
 def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,

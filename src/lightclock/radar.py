@@ -38,6 +38,8 @@ class RadarRecord(Record):
     r_E: float
     v_E: float | None = None
 
+    _renames = {"t_E": "tE", "r_E": "rE", "v_E": "vE"}
+
     def __post_init__(self):
         check_light_speed(self.c)
         if not all(map(math.isfinite, (self.t3, self.t_E, self.r_E))):
