@@ -140,8 +140,7 @@ def _json_text(obj) -> str:
 
 
 def _write(report, fmt: str, out: str | None) -> None:
-    """The one writer of a report, a dict or a list of dicts with the same
-    keys: JSON, or CSV under a header row of the keys."""
+    """The one writer of a report, a dict or a list of dicts, as JSON or CSV."""
     if fmt == "json":
         _emit(_json_text(report), out)
     else:
@@ -199,8 +198,9 @@ def velmap(cfg, vmax, steps, alternate):
     rows = []
     for i in range(steps + 1):
         vi = vmax * i
-        # vmax * i overflows only for vmax near the float limit
-        vi = vi / steps if vi < math.inf else vmax * (i / steps)
+        # vmax * i overflows only for vmax near the float limit, and the last
+        # row's vmax * steps / steps can round above vmax, even up to c
+        vi = min(vi / steps, vmax) if vi < math.inf else vmax * (i / steps)
         row = [vi, nsppm_velocity(vi, cfg.c)]
         if alternate:
             row.append(standard_rapidity(vi, cfg.c))

@@ -42,9 +42,10 @@ class RadarRecord(Record):
 
     def __post_init__(self):
         check_light_speed(self.c)
-        if not all(map(math.isfinite, (self.t3, self.t_E, self.r_E))):
+        v_e = 0.0 if self.v_E is None else self.v_E
+        if not all(map(math.isfinite, (self.t3, self.t_E, self.r_E, v_e))):
             raise GeometryError(f"radar measures overflow: t3={self.t3}, "
-                                f"t_E={self.t_E}, r_E={self.r_E}")
+                                f"t_E={self.t_E}, r_E={self.r_E}, v_E={self.v_E}")
         if self.t3 < self.t1:
             raise CausalityError(f"reception t3={self.t3} precedes emission t1={self.t1}")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -74,6 +75,15 @@ class TestRadarCommand:
     def test_geometry_error_exits_2(self, cli):
         result = cli(["radar", "--x0", "-5", "--v", "0", "--t1", "0"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_velocity_rejected_alike_in_each_format(self, cli, fmt):
+        result = cli(["radar", "--x0", "1", "--c", "1.7e308",
+                      "--t1=-5.8823529411764695e-309", "--format", fmt])
+        assert_rejected(result)
+        assert result.stderr == ("error: radar measures overflow: "
+                                 "t3=5.882352941176477e-309, t_E=5e-324, "
+                                 "r_E=1.0000000000000002, v_E=inf\n")
 
 
 class TestDeriveCommand:
@@ -283,6 +293,21 @@ class TestVelmapCommand:
         result = cli(["velmap", "--vmax", "1.0"])
         assert result.exit_code == 2
 
+    def test_last_row_does_not_round_up_to_light_speed(self, cli):
+        # 0.826787206319913 * 11 / 11 rounds up to the next float, which is c
+        result = cli(["velmap", "--vmax", "0.826787206319913",
+                      "--c", "0.8267872063199131", "--steps", "11"])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[-1].split(",")[0] == "0.826787206319913"
+
+    def test_no_row_above_vmax(self, cli):
+        rng = random.Random(24)
+        for _ in range(300):
+            vmax, steps = rng.uniform(0, 1), rng.randint(1, 40)
+            result = cli(["velmap", "--vmax", repr(vmax), "--steps", str(steps)])
+            vs = [line.split(",")[0] for line in result.stdout.splitlines()[1:]]
+            assert vs == [repr(min(vmax * i / steps, vmax)) for i in range(steps + 1)]
+
 
 class TestConfig:
     def test_config_changes_default_light_speed(self, cli, tmp_path):
@@ -356,6 +381,13 @@ class TestConfig:
         result = cli(["velmap", "--vmax", "0.5"],
                      env={"LIGHTCLOCK_CONFIG": "/nonexistent/cfg.json"})
         assert result.exit_code == 2
+
+    def test_config_that_is_not_an_object_rejected(self, cli, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        result = cli(["velmap", "--vmax", "0.5"], env={"LIGHTCLOCK_CONFIG": str(cfg)})
+        assert_rejected(result)
+        assert result.stderr == "error: config: top level must be a JSON object\n"
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -139,3 +139,11 @@ def test_two_ping_velocity_is_exact_for_rational_reflectors():
         refl = Reflector(x0=x0, v=v)
         measured = radar_velocity(simulate_ping(refl, t1a, c), simulate_ping(refl, t1b, c))
         assert type(measured) is Fraction and measured == v
+
+
+def test_overflowing_einstein_velocity_rejected():
+    # t_E is the smallest subnormal, so r_E / t_E overflows though r_E does not
+    with pytest.raises(GeometryError) as info:
+        simulate_ping(Reflector(1.0, 0.0), -5.8823529411764695e-309, 1.7e308)
+    assert str(info.value) == ("radar measures overflow: t3=5.882352941176477e-309, "
+                               "t_E=5e-324, r_E=1.0000000000000002, v_E=inf")
