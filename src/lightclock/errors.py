@@ -57,8 +57,7 @@ def check_speed(v, c) -> None:
 
 
 def _json_value(value):
-    """A record field as JSON data: a tuple to a list of floats, a dict copied,
-    a rational such as ``Fraction`` (not imported here) to float."""
+    """A field as JSON data: tuple to float list, dict copied, Fraction to float."""
     if isinstance(value, tuple):
         return [float(x) for x in value]
     if isinstance(value, dict):
@@ -130,8 +129,7 @@ class Record:
 
     def as_dict(self) -> dict:
         """The compared fields, in order, as the JSON data of a report."""
-        values = self.__dict__
-        return {self._renames.get(f, f): _json_value(values[f]) for f in self._compared}
+        return {self._renames.get(f, f): _json_value(self.__dict__[f]) for f in self._compared}
 
     def _replace(self, **changes):
         """A copy with the given fields changed, checked like a new record."""

@@ -116,6 +116,13 @@ def test_first_use_loads_only_that_submodule():
     run_child(body, [], ["lightclock.errors", "lightclock.radar"])
 
 
+def test_submodule_is_an_attribute_of_the_bare_package():
+    # the package hook imports a submodule named as an attribute, numpy not yet
+    body = ("import lightclock\nassert lightclock.decay is sys.modules['lightclock.decay']\n"
+            "assert lightclock.decay.BLOCK == 2 ** 17")
+    run_child(body, [], MODULE_IMPORTS["decay"])
+
+
 # what importing each submodule loads of lightclock
 MODULE_IMPORTS = {
     "errors": ["lightclock.errors"],

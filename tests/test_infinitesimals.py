@@ -185,3 +185,40 @@ class TestGridApprox:
         g = grid_approximate(r, omega)
         assert abs(g.numerator) < omega ** 2
         assert abs(g.value - Fraction(r)) <= Fraction(1, 2 * omega)
+
+
+class TestRejections:
+    def test_no_coefficients(self):
+        with pytest.raises(ValueError) as info:
+            H(())
+        assert str(info.value) == "at least one coefficient (the standard part) required"
+
+    @pytest.mark.parametrize("power", [0, 4])
+    def test_power_outside_the_order(self, power):
+        with pytest.raises(ValueError) as info:
+            H.infinitesimal(1.0, order=3, power=power)
+        assert str(info.value) == f"power {power} outside 1..3"
+
+    @pytest.mark.parametrize("zero", [0, 0.0, Fraction(0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError) as info:
+            H((1.0, 2.0)) / zero
+        assert str(info.value) == "division of a truncated series by zero"
+
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_grid_scale_below_one(self, scale):
+        with pytest.raises(ValueError) as info:
+            GridApprox(numerator=0, scale=scale)
+        assert str(info.value) == f"scale must be a positive integer, got {scale}"
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target(self, r):
+        with pytest.raises(ValueError) as info:
+            grid_approximate(r, 4)
+        assert str(info.value) == f"target {r!r} is not finite"
+
+    @pytest.mark.parametrize("r", ["1", 1j, None])
+    def test_non_real_target(self, r):
+        with pytest.raises(TypeError) as info:
+            grid_approximate(r, 4)
+        assert str(info.value) == f"target {r!r} is not a real number"

@@ -488,3 +488,10 @@ class TestComposeVelocities:
     @given(v=st_.floats(min_value=0.0, max_value=0.99))
     def test_composing_with_rest_is_identity(self, v):
         assert compose_velocities_additive_w(v, 0.0) == pytest.approx(v, abs=1e-10)
+
+
+@pytest.mark.parametrize("order", [1, 0, -1])
+def test_certification_order_below_two_rejected(order):
+    with pytest.raises(ValueError) as info:
+        certify_derivation(0.5, order=order)
+    assert str(info.value) == f"truncation order must be at least 2, got {order}"

@@ -7,6 +7,7 @@ used, so the pins hold whatever machinery builds the records.
 """
 
 import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -141,3 +142,34 @@ def test_report_failures_shown_but_not_compared():
 def test_frame_comparison_json_renames_lam():
     assert list(FrameComparison(**FRAMES).as_dict()) == \
         ["lambda" if k == "lam" else k for k in FRAMES]
+
+
+# TruncatedHyper has its own __init__, which takes the one coefficient tuple
+BASE_INIT = [case for case in CASES if case[0] is not TruncatedHyper]
+
+
+@pytest.mark.parametrize("cls, kwargs, defaults, text", BASE_INIT,
+                         ids=[case[0].__name__ for case in BASE_INIT])
+def test_too_many_positional_arguments(cls, kwargs, defaults, text):
+    with pytest.raises(TypeError) as info:
+        cls(*kwargs.values(), None)
+    assert str(info.value) == \
+        f"{cls.__name__}() takes {len(kwargs)} arguments, got {len(kwargs) + 1}"
+
+
+def test_radar_record_json_renames_einstein_measures():
+    record = RadarRecord(t1=1.0, t3=3.0, c=1.0, t_E=2.0, r_E=1.0)
+    assert record.as_dict() == {"t1": 1.0, "t3": 3.0, "c": 1.0, "tE": 2.0, "rE": 1.0,
+                                "vE": None}
+
+
+def test_as_dict_makes_json_data():
+    # rationals become floats, tuples float lists and dicts copies; ints stay
+    exact = CertificationReport(**dict(REPORT, v=Fraction(1, 2), order=2,
+                                       lhs_coeffs=(Fraction(1, 4), 0, 1)))
+    data = exact.as_dict()
+    assert type(data["v"]) is float and data["v"] == 0.5
+    assert data["lhs_coeffs"] == [0.25, 0.0, 1.0]
+    assert list(map(type, data["lhs_coeffs"])) == [float] * 3
+    assert type(data["order"]) is int and data["exact"] is False
+    assert data["checks"] == REPORT["checks"] and data["checks"] is not exact.checks
