@@ -165,7 +165,7 @@ def test_radar_record_json_renames_einstein_measures():
 
 def test_as_dict_makes_json_data():
     # rationals become floats, tuples float lists and dicts copies; ints stay
-    exact = CertificationReport(**dict(REPORT, v=Fraction(1, 2), order=2,
+    exact = CertificationReport(**dict(REPORT, v=Fraction(1, 2),
                                        lhs_coeffs=(Fraction(1, 4), 0, 1)))
     data = exact.as_dict()
     assert type(data["v"]) is float and data["v"] == 0.5
