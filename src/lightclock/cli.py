@@ -16,7 +16,6 @@ Each command imports the library modules it runs when it runs.  ``_read``
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -96,6 +95,8 @@ class RunConfig(Record):
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        import json  # only a config file or a JSON report needs it
+
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("config: top level must be a JSON object")
@@ -136,6 +137,8 @@ def _csv(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 

@@ -14,15 +14,15 @@ measured at rest dilates to ``tau_m = tau_s / gamma`` with
 seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 ``-tau * ln(1 - U)`` from a counter-based uniform stream (Philox keyed by
 the seed, sample index = stream position), streamed in blocks of at most
-``BLOCK`` samples, the leaves of numpy's pairwise summation tree.  Threads,
-capped at the CPU count and the subtree count, take a few subtrees each,
-draw each from one generator and hold one block at a time, so memory is
-O(threads * 1 MiB) and a run is bit-identical for a fixed (tau, samples,
-seed) whatever the number of workers.
+``BLOCK`` samples, the leaves of numpy's pairwise summation tree.  Both
+frames' subtrees go into one task list; the calling thread and plain
+``threading.Thread``s, capped at the CPU count and the task count, take
+them in turn, draw each from one generator and hold one block at a time,
+so memory is O(threads * 1 MiB) and a run is bit-identical for a fixed
+(tau, samples, seed) whatever the number of workers.
 
-Only the ensemble engine imports numpy, and the thread pool only when more
-than one thread runs, so importing lightclock and the derive, radar and
-velmap commands never load them.
+Only the ensemble engine imports numpy, when it draws, so importing
+lightclock and the derive, radar and velmap commands never load it.
 """
 
 from __future__ import annotations
@@ -230,33 +230,56 @@ def _leaf_lifetimes(tau: float, gen: np.random.Generator, size: int) -> np.ndarr
     return out
 
 
-def _keyed_sum(tau: float, seed: int, n: int, workers: int) -> float:
-    """Sum of the first n lifetimes of the stream, as ``np.sum`` of all gives.
+def _keyed_sums(streams: list[tuple[float, int]], n: int, workers: int) -> list[float]:
+    """Sum of the first n lifetimes of each ``(tau, seed)`` stream, each as
+    ``np.sum`` of all of them gives.
 
-    About 8 subtree tasks per thread, each drawing its leaves in order from
-    one Philox advanced to its first sample.  ``min(workers, tasks,
-    cpu_count)`` threads: one runs the tasks inline, more share a pool,
-    which holds O(threads) futures whatever n is.
+    Every stream is cut into the same subtree tasks, about 8 per thread,
+    each drawing its leaves in order from one Philox advanced to its first
+    sample.  All tasks go into one list, handed out under a lock, so no
+    thread idles while another stream still has work.  ``min(workers,
+    cpu_count, tasks)`` threads run them, the caller among them; the first
+    error any thread hits is raised once all have stopped.  Each stream's
+    task sums go back through the same ``_pairwise`` top.
     """
     # imported here, to keep numpy off the start-up path of every other command
-    import numpy as np
+    import threading
 
-    def task_sum(task):
-        lo, size = task
-        gen = np.random.Generator(np.random.Philox(key=seed).advance(lo // _PHILOX_BLOCK))
-        return _pairwise(lo, size, lambda _, leaf: float(
-            _leaf_lifetimes(tau, gen, leaf).sum(initial=0.0)))
+    import numpy as np
 
     cpus = min(workers, os.cpu_count() or 1)
     node = n // (8 * cpus)
-    tasks = _pairwise(0, n, lambda lo, size: [(lo, size)], node)
-    threads = min(cpus, len(tasks))
-    sums = map(task_sum, tasks)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = pool.map(task_sum, tasks)
-    return _pairwise(0, n, lambda lo, size: next(sums), node)
+    spans = _pairwise(0, n, lambda lo, size: [(lo, size)], node)
+    tasks = [(tau, seed, lo, size) for tau, seed in streams for lo, size in spans]
+    sums = [None] * len(tasks)
+    todo, lock, failures = iter(enumerate(tasks)), threading.Lock(), []
+
+    def run_tasks():
+        try:
+            while not failures:
+                with lock:
+                    task = next(todo, None)
+                if task is None:
+                    return
+                i, (tau, seed, lo, size) = task
+                philox = np.random.Philox(key=seed).advance(lo // _PHILOX_BLOCK)
+                gen = np.random.Generator(philox)
+                sums[i] = _pairwise(lo, size, lambda _, leaf: float(
+                    _leaf_lifetimes(tau, gen, leaf).sum(initial=0.0)))
+        except BaseException as exc:  # raised again by the caller, after the join
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run_tasks)
+               for _ in range(min(cpus, len(tasks)) - 1)]
+    for thread in threads:
+        thread.start()
+    run_tasks()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    task_sums = iter(sums)  # each stream's top takes its own tasks' sums, in order
+    return [_pairwise(0, n, lambda lo, size: next(task_sums), node) for _ in streams]
 
 
 class EnsembleRun(Record):
@@ -266,6 +289,16 @@ class EnsembleRun(Record):
     seed: int
     tau_hat: float
     stderr: float
+
+
+def _check_ensemble(tau: float, sample_count: int, seed: int, workers: int) -> None:
+    check_positive("mean lifetime", tau)
+    if not 1 <= sample_count <= MAX_SAMPLES:
+        raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {sample_count}")
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def run_ensemble(tau: float, sample_count: int, seed: int,
@@ -278,14 +311,8 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
     for fixed (tau, sample_count, seed) regardless of ``workers``.  At most
     ``MAX_SAMPLES`` lifetimes are drawn.
     """
-    check_positive("mean lifetime", tau)
-    if not 1 <= sample_count <= MAX_SAMPLES:
-        raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {sample_count}")
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    tau_hat = _keyed_sum(tau, seed, sample_count, workers) / sample_count
+    _check_ensemble(tau, sample_count, seed, workers)
+    tau_hat = _keyed_sums([(tau, seed)], sample_count, workers)[0] / sample_count
     return EnsembleRun(
         sample_count=sample_count,
         seed=seed,
@@ -325,8 +352,12 @@ def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,
     """
     gamma = gamma_factor(p)
     tau_m = dilated_lifetime(tau_s, p)
-    tau_hat_s = run_ensemble(tau_s, sample_count, seed, workers).tau_hat
-    tau_hat_m = run_ensemble(tau_m, sample_count, seed ^ _FRAME_KEY_SALT, workers).tau_hat
+    # both frames' checks in run_ensemble's order, before either is drawn
+    _check_ensemble(tau_s, sample_count, seed, workers)
+    key_m = seed ^ _FRAME_KEY_SALT
+    _check_ensemble(tau_m, sample_count, key_m, workers)
+    sum_s, sum_m = _keyed_sums([(tau_s, seed), (tau_m, key_m)], sample_count, workers)
+    tau_hat_s, tau_hat_m = sum_s / sample_count, sum_m / sample_count
     if tau_hat_s == 0 or tau_hat_m == 0:
         raise ValueError(f"tau_s={tau_s} is too small: an ensemble mean underflowed to 0")
     ratio = tau_hat_m / tau_hat_s

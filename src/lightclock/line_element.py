@@ -36,10 +36,12 @@ exposed separately as ``standard_rapidity`` for comparison only.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import PoleError, Record, check_light_speed, check_speed
-from .infinitesimals import DEFAULT_ORDER, TruncatedHyper, st
+
+if TYPE_CHECKING:
+    from .infinitesimals import TruncatedHyper
 
 IDENTITY_TOL = 1e-12
 
@@ -151,6 +153,8 @@ def check_rejected_branch(coeffs: TransformCoeffs):
 
 
 def _check_displacement(dr: TruncatedHyper, dt: TruncatedHyper) -> None:
+    from .infinitesimals import st
+
     if st(dr) != 0 or st(dt) != 0:
         raise ValueError("displacements must be pure infinitesimals")
 
@@ -265,7 +269,9 @@ class CertificationReport(Record):
     _uncompared = ("failures",)
 
 
-def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
+# order=2 is infinitesimals.DEFAULT_ORDER, spelled out so that importing
+# line_element, as velmap and decay do, never imports infinitesimals
+def certify_derivation(v, d=0, c=1, order: int = 2,
                        exact: bool = False,
                        tol: float = IDENTITY_TOL) -> CertificationReport:
     """Run every identity of the derivation chain at one parameter point.
@@ -287,6 +293,11 @@ def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER,
     check is a zero-tolerance rational equality; the coefficients are built
     from the speed ratio ``(v + d)/c``, so the whole chain stays rational.
     """
+    # imported here: only derive certifies, so velmap and decay load neither
+    from fractions import Fraction
+
+    from .infinitesimals import TruncatedHyper
+
     if order < 2:
         raise ValueError(f"truncation order must be at least 2, got {order}")
     if exact:

@@ -1,8 +1,10 @@
 """Tests for the decay law, operator checks, dilation and ensembles."""
 
+import itertools
 import math
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,8 +15,8 @@ from hypothesis import strategies as st_
 from lightclock.decay import (
     BLOCK,
     MAX_SAMPLES,
+    _FRAME_KEY_SALT,
     DecayModel,
-    EnsembleRun,
     SeparableSolution,
     _leaf_lifetimes,
     chain_rule_check,
@@ -49,28 +51,31 @@ def stream(seed, start=0):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Run the engine's thread pool inline, recording each pool's thread
-    count and how many items it maps."""
-    record = {"threads": [], "items": []}
+def inline_threads(monkeypatch):
+    """Run each thread the engine starts inline, when it is started,
+    recording how many threads ran tasks, the caller included, and how many
+    generators were built, one per subtree task."""
+    record = {"threads": 1, "tasks": 0}
+    real = np.random.Philox
 
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            record["threads"].append(max_workers)
+    class InlineThread:
+        def __init__(self, target):
+            record["threads"] += 1
+            self.target = target
 
-        def __enter__(self):
-            return self
+        def start(self):
+            self.target()
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, items):
-            items = list(items)
-            record["items"].append(len(items))
-            return map(fn, items)
+    def counting_philox(*args, **kwargs):
+        record["tasks"] += 1
+        return real(*args, **kwargs)
 
-    # the engine imports the pool at call time, so patch it at its source
-    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", InlineExecutor)
+    # the engine imports threading at call time, so patch it at its source
+    monkeypatch.setattr("threading.Thread", InlineThread)
+    monkeypatch.setattr("numpy.random.Philox", counting_philox)
     return record
 
 
@@ -307,11 +312,11 @@ class TestDilatedLifetime:
     def test_compare_frames_draws_at_the_bound(self, monkeypatch):
         drawn = []
 
-        def record_draw(tau, *args, **kwargs):
-            drawn.append(tau)
-            return EnsembleRun(sample_count=10, seed=1, tau_hat=tau, stderr=0.0)
+        def record_draw(streams, n, workers):
+            drawn.extend(tau for tau, _ in streams)
+            return [tau * n for tau, _ in streams]
 
-        monkeypatch.setattr("lightclock.decay.run_ensemble", record_draw)
+        monkeypatch.setattr("lightclock.decay._keyed_sums", record_draw)
         report = compare_frames(1e15, LineElementParams(v=0.6), 10, 1)
         assert drawn == [1e15, 1e15 / 0.8] and report.ratio == 1.25
 
@@ -319,7 +324,7 @@ class TestDilatedLifetime:
         def no_draw(*args, **kwargs):
             raise AssertionError("an ensemble was drawn")
 
-        monkeypatch.setattr("lightclock.decay.run_ensemble", no_draw)
+        monkeypatch.setattr("lightclock.decay._keyed_sums", no_draw)
         with pytest.raises(ValueError, match="at most 1e\\+15"):
             compare_frames(math.nextafter(1e15, math.inf), LineElementParams(v=0.6), 10, 1)
 
@@ -328,7 +333,7 @@ class TestDilatedLifetime:
         def no_draw(*args, **kwargs):
             raise AssertionError("an ensemble was drawn")
 
-        monkeypatch.setattr("lightclock.decay.run_ensemble", no_draw)
+        monkeypatch.setattr("lightclock.decay._keyed_sums", no_draw)
         with pytest.raises(ValueError, match="rest lifetime|dilated lifetime"):
             compare_frames(tau_s, LineElementParams(v=0.6), 10, 1)
 
@@ -423,14 +428,28 @@ class TestRunEnsemble:
             assert base == split
 
     @pytest.mark.parametrize("workers", [1, 3, 10 ** 6])
-    def test_thread_count_capped_at_cpu_count(self, inline_pool, workers):
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_thread_count_capped_at_cpu_count(self, inline_threads, workers, frames):
         m = 2 * BLOCK + 8  # three leaves: BLOCK, BLOCK / 2, BLOCK / 2 + 8
-        base = run_ensemble(1.0, m, 0, workers=1)
-        capped = run_ensemble(1.0, m, 0, workers=workers)
-        cap = min(workers, 3, os.cpu_count() or 1)
-        # one thread runs inline, without a pool
-        assert inline_pool["threads"] == ([] if cap == 1 else [cap])
+        p = LineElementParams(v=0.6)
+        draw = ((lambda w: run_ensemble(1.0, m, 0, workers=w)) if frames == 1
+                else (lambda w: compare_frames(1.0, p, m, 0, workers=w)))
+        base = draw(1)
+        capped = draw(workers)
+        # one task per leaf and frame, run by the caller and the threads it starts
+        assert inline_threads["threads"] == min(workers, 3 * frames, os.cpu_count() or 1)
         assert base == capped
+
+    def test_unknown_cpu_count_runs_one_thread(self, monkeypatch, inline_threads):
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        m = 2 * BLOCK + 8
+        assert run_ensemble(1.0, m, 0, workers=3) == run_ensemble(1.0, m, 0)
+        assert inline_threads["threads"] == 1
+
+    def test_default_is_the_calling_thread_alone(self, inline_threads):
+        run_ensemble(1.0, 2 * BLOCK + 8, 0)
+        compare_frames(1.0, LineElementParams(v=0.6), 2 * BLOCK + 8, 0)
+        assert inline_threads["threads"] == 1
 
     @pytest.mark.parametrize("block", [2 ** 10, 2 ** 17, 2 ** 20])
     def test_leaf_and_task_size_move_no_bit(self, monkeypatch, block):
@@ -441,14 +460,20 @@ class TestRunEnsemble:
             for workers in (1, 2, 3):
                 assert run_ensemble(3.0, m, 42, workers=workers).tau_hat == expected
 
-    def test_pool_bookkeeping_is_bounded_by_threads(self, monkeypatch, inline_pool):
+    @pytest.mark.parametrize("frames", [1, 2])
+    def test_pool_bookkeeping_is_bounded_by_threads(self, monkeypatch, inline_threads,
+                                                    frames):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         # the sums are not under test: one zero per leaf runs in milliseconds
         monkeypatch.setattr("lightclock.decay._leaf_lifetimes", lambda *leaf: np.zeros(1))
-        assert run_ensemble(1.0, MAX_SAMPLES, 0, workers=2).tau_hat == 0.0
-        # 8192 leaves, but a few subtree tasks per thread
-        assert inline_pool["threads"] == [2]
-        assert 0 < inline_pool["items"][0] <= 16 * 2
+        if frames == 1:
+            assert run_ensemble(1.0, MAX_SAMPLES, 0, workers=2).tau_hat == 0.0
+        else:
+            with pytest.raises(ValueError, match="underflowed to 0"):
+                compare_frames(1.0, LineElementParams(v=0.6), MAX_SAMPLES, 0, workers=2)
+        # 8192 leaves per frame, but a few subtree tasks per thread and frame
+        assert inline_threads["threads"] == 2
+        assert 0 < inline_threads["tasks"] <= 16 * 2 * frames
 
     @pytest.mark.parametrize("workers, builds", [(1, 8), (2, 16)])
     def test_one_generator_per_subtree_task(self, monkeypatch, workers, builds):
@@ -466,7 +491,7 @@ class TestRunEnsemble:
 
     def test_memory_bounded_by_threads_times_block(self):
         threads = min(2, os.cpu_count() or 1)
-        # warm: the first call also imports the thread pool
+        # warm: the first call also imports numpy and numpy.random
         run_ensemble(1.0, 64 * BLOCK, 0, workers=2)
         tracemalloc.start()
         try:
@@ -521,6 +546,53 @@ class TestCompareFrames:
         assert list(d) == ["tau_s", "v", "c", "lambda", "gamma", "tau_m_analytic",
                            "tau_hat_s", "tau_hat_m", "ratio", "z_score",
                            "samples", "seed"]
+
+    @pytest.mark.parametrize("m", [1, 7, 8, BLOCK, BLOCK + 8, 2 * BLOCK + 8, 3145733,
+                                   10 ** 7])
+    def test_one_call_draws_both_frames_as_two_ensembles(self, m):
+        p = LineElementParams(v=0.6)
+        for seed in (0, 42, 2 ** 63 + 5):
+            for workers in (1, 2, 3):
+                report = compare_frames(1.0, p, m, seed, workers=workers)
+                rest = run_ensemble(1.0, m, seed, workers)
+                moving = run_ensemble(report.tau_m_analytic, m, seed ^ _FRAME_KEY_SALT,
+                                      workers)
+                assert (report.tau_hat_s.hex(), report.tau_hat_m.hex()) == \
+                    (rest.tau_hat.hex(), moving.tau_hat.hex()), (seed, workers)
+
+    def test_tasks_handed_out_under_contention(self, monkeypatch):
+        # 8 threads on fewer cores, switching every microsecond, share one
+        # task list: a task run twice or lost would change a sum or leave a
+        # slot unwritten
+        monkeypatch.setattr("lightclock.decay.BLOCK", 2 ** 10)
+        p, m = LineElementParams(v=0.6), 64 * 2 ** 10 + 8
+        expected = compare_frames(1.0, p, m, 3, workers=1)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [compare_frames(1.0, p, m, 3, workers=8) for _ in range(20)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(report == expected for report in reports)
+
+    def test_a_failing_task_stops_every_thread_and_is_raised(self, monkeypatch):
+        calls, real = itertools.count(1), _leaf_lifetimes
+
+        def third_fails(*leaf):
+            if next(calls) == 3:
+                raise MemoryError("leaf 3")
+            return real(*leaf)
+
+        monkeypatch.setattr("lightclock.decay._leaf_lifetimes", third_fails)
+        before = threading.active_count()
+        # 16 one-leaf tasks over both frames
+        with pytest.raises(MemoryError, match="leaf 3"):
+            compare_frames(1.0, LineElementParams(v=0.6), 8 * BLOCK, 1, workers=2)
+        assert threading.active_count() == before
+        # the other thread ends the leaf it holds, and at most one it took
+        # before the failure was recorded
+        assert next(calls) <= 5
 
     def test_deterministic_across_workers(self):
         a = compare_frames(1.0, LineElementParams(v=0.6), 10_000, 13, workers=1)

@@ -16,7 +16,6 @@ from lightclock import decay
 from lightclock.cli import RunConfig
 from lightclock.decay import (
     DecayModel,
-    EnsembleRun,
     _close,
     chain_rule_check,
     compare_frames,
@@ -93,12 +92,8 @@ def test_z_gate_includes_its_bound(cli, monkeypatch, z, exit_code):
 
 @pytest.mark.parametrize("means", [(0.0, 1.0), (1.0, 0.0)], ids=["rest", "moving"])
 def test_ensemble_mean_of_zero_is_rejected(monkeypatch, means):
-    draws = iter(means)
-
-    def run(tau, sample_count, seed, workers=1):
-        return EnsembleRun(sample_count, seed, next(draws), 0.0)
-
-    monkeypatch.setattr(decay, "run_ensemble", run)
+    # both frames are drawn in one call, which returns their sums
+    monkeypatch.setattr(decay, "_keyed_sums", lambda streams, n, workers: list(means))
     with pytest.raises(ValueError, match="underflowed to 0"):
         compare_frames(1.0, LineElementParams(v=0.6), 10, 1)
 

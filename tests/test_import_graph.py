@@ -1,8 +1,9 @@
 """Import graph: each command loads only the lightclock modules it runs,
-only the decay path loads numpy (and with it inspect), the thread pool only
-when more than one thread runs, and no command or submodule loads click,
-argparse or dataclasses.  The package's lazy exports are the same objects
-as its submodules' names.
+only the decay path loads numpy (and with it inspect), only derive loads
+fractions and decimal, only a JSON report or a config loads json, and no
+command or submodule loads concurrent.futures, click, argparse or
+dataclasses.  The package's lazy exports are the same objects as its
+submodules' names.
 
 Each case runs in a fresh interpreter, since this process has long since
 imported numpy and every lightclock module.  No timing is asserted, only
@@ -10,6 +11,7 @@ which modules got loaded.
 """
 
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -20,6 +22,8 @@ import pytest
 
 import lightclock
 from lightclock.decay import BLOCK
+from lightclock.infinitesimals import DEFAULT_ORDER
+from lightclock.line_element import certify_derivation
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -37,12 +41,13 @@ assert ours == {ours!r}, f"loaded {{ours}}, expected {ours!r}"
 print("modules checked")
 """
 
-# what every command loads to parse its argv, and what each command adds
+# what every command loads to parse its argv, and what each command adds;
+# only derive's certification loads infinitesimals
 PARSER = ["lightclock.cli", "lightclock.errors"]
-LINE_ELEMENT = ["lightclock.infinitesimals", "lightclock.line_element"]
+LINE_ELEMENT = ["lightclock.line_element"]
 COMMAND_MODULES = {
     "radar": sorted(PARSER + ["lightclock.radar"]),
-    "derive": sorted(PARSER + LINE_ELEMENT),
+    "derive": sorted(PARSER + LINE_ELEMENT + ["lightclock.infinitesimals"]),
     "velmap": sorted(PARSER + LINE_ELEMENT),
     "decay": sorted(PARSER + LINE_ELEMENT + ["lightclock.decay"]),
     "--help": PARSER,
@@ -83,6 +88,7 @@ LEAN_ARGVS = {
     "derive_float": ["derive", "--v", "0.6"],
     "radar_json": ["radar", "--x0", "0", "--v", "0.5", "--t1", "1", "--t1", "2",
                    "--format", "json"],
+    "radar_csv": ["radar", "--x0", "0", "--v", "0.5", "--t1", "1"],
     "velmap": ["velmap", "--vmax", "0.9", "--steps", "9", "--alternate"],
     "help": ["--help"],
     "version": ["--version"],
@@ -144,15 +150,33 @@ def test_lean_command_loads_neither(argv):
     run_child(CLI_BODY.format(argv=argv), [], COMMAND_MODULES[argv[0]])
 
 
-# derive, velmap and decay load both, through line_element and infinitesimals
+# only derive loads both, when it certifies, through fractions
 RATIONALS = {"fractions", "decimal"}
+ENTRY_ARGVS = {**LEAN_ARGVS,
+               "decay": ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1"]}
 
 
-@pytest.mark.parametrize("name", ["radar_json", "help", "version"])
+def run_child_without(argv: list[str], unused: set) -> None:
+    body = CLI_BODY.format(argv=argv) + f"assert not {unused!r} & set(sys.modules)\n"
+    run_child(body, NUMPY if argv[0] == "decay" else [], COMMAND_MODULES[argv[0]])
+
+
+@pytest.mark.parametrize("name", ["radar_json", "radar_csv", "velmap", "decay", "help",
+                                  "version"])
 def test_start_up_loads_no_rationals(name):
-    argv = LEAN_ARGVS[name]
-    body = CLI_BODY.format(argv=argv) + f"assert not {RATIONALS!r} & set(sys.modules)\n"
-    run_child(body, [], COMMAND_MODULES[argv[0]])
+    run_child_without(ENTRY_ARGVS[name], RATIONALS)
+
+
+# only a JSON report or a config file loads json
+@pytest.mark.parametrize("name", ["radar_csv", "velmap", "decay", "help", "version"])
+def test_csv_output_loads_no_json(name):
+    run_child_without(ENTRY_ARGVS[name], {"json"})
+
+
+def test_certify_order_default_is_the_infinitesimals_one():
+    # a literal in line_element, so that velmap and decay never import infinitesimals
+    order = inspect.signature(certify_derivation).parameters["order"].default
+    assert order == DEFAULT_ORDER
 
 
 def test_single_block_decay_loads_numpy_only():
@@ -161,11 +185,12 @@ def test_single_block_decay_loads_numpy_only():
 
 
 def test_decay_command_loads_both():
-    # more than one leaf and two workers: a pool, where two CPUs exist
+    # both: numpy and the inspect it loads.  More than one leaf and two
+    # workers start a second thread where two CPUs exist, and still no
+    # thread pool module
     argv = ["decay", "--tau-s", "1", "--samples", str(2 * BLOCK + 8), "--seed", "1",
             "--workers", "2"]
-    pool = ["concurrent.futures"] if (os.cpu_count() or 1) > 1 else []
-    run_child(CLI_BODY.format(argv=argv), NUMPY + pool, COMMAND_MODULES["decay"])
+    run_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
 
 
 def test_exports_are_the_submodules_names():
@@ -186,10 +211,6 @@ def test_readme_imports_are_exported():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         lightclock.no_such_name  # noqa: B018
-
-
-ENTRY_ARGVS = {**LEAN_ARGVS,
-               "decay": ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1"]}
 
 
 @pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS.keys())
