@@ -23,7 +23,7 @@ from numbers import Real
 from pathlib import Path
 
 from . import __version__
-from .errors import LightClockError, Record, check_light_speed, check_speed
+from .errors import IDENTITY_TOL, LightClockError, Record, check_light_speed, check_speed
 
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
@@ -72,8 +72,7 @@ class RunConfig(Record):
     """
 
     c: float = 1.0
-    # line_element.IDENTITY_TOL, spelled out so that a config never imports line_element
-    tolerance: float = 1e-12
+    tolerance: float = IDENTITY_TOL
     format: str = "csv"
     out: str | None = None
 
@@ -97,7 +96,10 @@ class RunConfig(Record):
     def from_file(cls, path: str) -> "RunConfig":
         import json  # only a config file or a JSON report needs it
 
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:  # the parser recurses once per nested array or object
+            raise ValueError("config: JSON nested too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("config: top level must be a JSON object")
         unknown = set(raw).difference(cls._fields)
@@ -136,16 +138,12 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(obj) -> str:
-    import json
-
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
 def _write(report, fmt: str, out: str | None) -> None:
     """The one writer of a report, a dict or a list of dicts, as JSON or CSV."""
     if fmt == "json":
-        _emit(_json_text(report), out)
+        import json  # only a JSON report or a config file needs it
+
+        _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", out)
     else:
         rows = report if isinstance(report, list) else [report]
         _emit(_csv(list(rows[0]), [list(row.values()) for row in rows]), out)

@@ -1,7 +1,10 @@
-"""Exception types, the record base and the input rules shared across the
-lightclock package; every command loads this module."""
+"""Exception types, the record base, the input rules and the constants shared
+across the lightclock package; every command loads this module."""
 
 import math
+
+DEFAULT_ORDER = 2  # default truncation order of series and certification
+IDENTITY_TOL = 1e-12  # default tolerance of a float certification check
 
 
 class LightClockError(Exception):

@@ -22,9 +22,8 @@ import math
 from fractions import Fraction
 from numbers import Rational, Real
 
-from .errors import OrderMismatchError, OutOfGridError, Record
+from .errors import DEFAULT_ORDER, OrderMismatchError, OutOfGridError, Record
 
-DEFAULT_ORDER = 2
 CLOSENESS_TOL = 1e-12
 _PLAIN_REALS = frozenset((float, int, Fraction))
 

@@ -21,10 +21,11 @@ and substitution back into the interval gives the dilated form
 
     dS**2 = lam * (c*dt_m)**2 - (1/lam) * dr_m**2,     lam = eta.
 
-The chain is built from s alone, with no square root, so rational inputs
-keep it over exact rationals, which is what
-``certify_derivation(..., exact=True)`` exploits to check the identities at
-zero tolerance.
+The chain is built from s and c alone, with no square root, so rational
+inputs keep it over exact rationals, where ``certify_derivation(...,
+exact=True)`` checks the identities at zero tolerance.  It validates (v, d, c)
+once, then runs ``_chain``, which makes no order comparison, so any field of
+numbers runs it; each formula has one body, shared with the public functions.
 
 The module also carries the substratum velocity map
 ``w = (c/2) * ln((1 + v**2/c**2) / (1 - v**2/c**2))`` under which composed
@@ -38,12 +39,11 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import PoleError, Record, check_light_speed, check_speed
+from .errors import (DEFAULT_ORDER, IDENTITY_TOL, PoleError, Record, check_light_speed,
+                     check_speed)
 
 if TYPE_CHECKING:
     from .infinitesimals import TruncatedHyper
-
-IDENTITY_TOL = 1e-12
 
 
 class LineElementParams(Record):
@@ -67,8 +67,7 @@ class LineElementParams(Record):
 
 def lambda_factor(p: LineElementParams):
     """``1 - (v + d)**2 / c**2``, strictly in (0, 1]."""
-    ratio = (p.v + p.d) / p.c
-    return 1 - ratio * ratio
+    return solve_transform_coeffs(p).eta
 
 
 def gamma_factor(p: LineElementParams) -> float:
@@ -92,7 +91,10 @@ def solve_transform_coeffs(p: LineElementParams) -> TransformCoeffs:
     the cross term ``2*(alpha + beta*(1 - alpha**2))``.  Rational parameters
     give exact rational coefficients.
     """
-    s = (p.v + p.d) / p.c
+    return _solved((p.v + p.d) / p.c)
+
+
+def _solved(s) -> TransformCoeffs:
     eta = 1 - s * s
     return TransformCoeffs(alpha=-s, beta=s / eta, eta=eta)
 
@@ -153,9 +155,7 @@ def check_rejected_branch(coeffs: TransformCoeffs):
 
 
 def _check_displacement(dr: TruncatedHyper, dt: TruncatedHyper) -> None:
-    from .infinitesimals import st
-
-    if st(dr) != 0 or st(dt) != 0:
+    if dr.coeffs[0] != 0 or dt.coeffs[0] != 0:  # the standard parts
         raise ValueError("displacements must be pure infinitesimals")
 
 
@@ -163,16 +163,23 @@ def line_element_s(dr: TruncatedHyper, dt: TruncatedHyper, c) -> TruncatedHyper:
     """Isotropic interval ``dS**2 = (c*dt)**2 - dr**2`` for s-frame data."""
     _check_displacement(dr, dt)
     check_light_speed(c)
-    d_t = dt * c
-    return d_t * d_t - dr * dr
+    return _isotropic_interval(dr, dt, c)
 
 
 def line_element_m(dr: TruncatedHyper, dt: TruncatedHyper,
                    p: LineElementParams) -> TruncatedHyper:
     """Dilated interval ``dS**2 = lam*(c*dt)**2 - (1/lam)*dr**2`` for m-frame data."""
     _check_displacement(dr, dt)
-    lam = lambda_factor(p)
-    d_t = dt * p.c
+    return _dilated_interval(dr, dt, p.c, lambda_factor(p))
+
+
+def _isotropic_interval(dr, dt, c):
+    d_t = dt * c
+    return d_t * d_t - dr * dr
+
+
+def _dilated_interval(dr, dt, c, lam):
+    d_t = dt * c
     return d_t * d_t * lam - (dr * dr) / lam
 
 
@@ -269,10 +276,24 @@ class CertificationReport(Record):
     _uncompared = ("failures",)
 
 
-# order=2 is infinitesimals.DEFAULT_ORDER, spelled out so that importing
-# line_element, as velmap and decay do, never imports infinitesimals
-def certify_derivation(v, d=0, c=1, order: int = 2,
-                       exact: bool = False,
+def _chain(s, c, one, order: int):
+    """The chain at speed ratio ``s`` and light speed ``c``, in the field whose
+    unit is ``one``: the coefficients, their expansion, the isotropic interval
+    of the transformed probe (dr_m, dt_m) = (eps, 2*eps), the dilated interval
+    of the probe, and the co-moving velocity ratios of both branches."""
+    from .infinitesimals import TruncatedHyper  # only derive certifies
+
+    coeffs = _solved(s)
+    drm = TruncatedHyper.infinitesimal(one, order=order)
+    dtm = TruncatedHyper.infinitesimal(one + one, order=order)
+    drs, dTs = transform_differentials(coeffs, drm, dtm * c)
+    lhs = _isotropic_interval(drs, dTs / c, c)
+    rhs = _dilated_interval(drm, dtm, c, coeffs.eta)
+    return (coeffs, expand_quadratic(coeffs.alpha, coeffs.beta), lhs, rhs,
+            velocity_ratio(coeffs, 0 * one), check_rejected_branch(coeffs))
+
+
+def certify_derivation(v, d=0, c=1, order: int = DEFAULT_ORDER, exact: bool = False,
                        tol: float = IDENTITY_TOL) -> CertificationReport:
     """Run every identity of the derivation chain at one parameter point.
 
@@ -286,52 +307,32 @@ def certify_derivation(v, d=0, c=1, order: int = 2,
     * the sign-flipped branch sees a co-moving point move backwards
       (negative ratio) for ``(v + d)/c > 0``, and at rest for ``v + d = 0``.
 
-    Both velocity ratios are read from ``transform_differentials``, the map
-    the line-element identity is checked on.
-
     In ``exact`` mode the inputs are converted to ``Fraction`` and every
-    check is a zero-tolerance rational equality; the coefficients are built
-    from the speed ratio ``(v + d)/c``, so the whole chain stays rational.
+    check is a zero-tolerance rational equality.  The inputs are validated
+    here, once, and ``_chain`` computes what the checks compare.
     """
-    # imported here: only derive certifies, so velmap and decay load neither
-    from fractions import Fraction
-
-    from .infinitesimals import TruncatedHyper
+    from fractions import Fraction  # only derive certifies
 
     if order < 2:
         raise ValueError(f"truncation order must be at least 2, got {order}")
-    if exact:
-        v, d, c = Fraction(v), Fraction(d), Fraction(c)
-        one = Fraction(1)
-        tol = 0.0
-    else:
-        v, d, c = float(v), float(d), float(c)
-        one = 1.0
-
-    p = LineElementParams(v=v, d=d, c=c)
-    coeffs = solve_transform_coeffs(p)
-    eta = coeffs.eta
-    coef_time, coef_cross, coef_radial = expand_quadratic(coeffs.alpha, coeffs.beta)
-
-    drm = TruncatedHyper.infinitesimal(one, order=order)
-    dtm = TruncatedHyper.infinitesimal(one + one, order=order)
-    drs, dTs = transform_differentials(coeffs, drm, dtm * c)
-    lhs = line_element_s(drs, dTs / c, c)
-    rhs = line_element_m(drm, dtm, p)
+    number = Fraction if exact else float
+    v, d, c, one = number(v), number(d), number(c), number(1)
+    tol = 0.0 if exact else tol
+    LineElementParams(v=v, d=d, c=c)
+    s = (v + d) / c
+    coeffs, (coef_time, coef_cross, coef_radial), lhs, rhs, recovered, branch_ratio = \
+        _chain(s, c, one, order)
     lhs_eps2 = lhs.coeffs[2]
     rhs_eps2 = rhs.coeffs[2]
     eps2_rel_error = _relative_error(lhs_eps2, rhs_eps2)
 
-    branch_ratio = check_rejected_branch(coeffs)
-    recovered = velocity_ratio(coeffs, 0 * one)
-
     measured = {  # each check passes when its measured value is <= tol
         "cross_term_zero": abs(coef_cross),
-        "time_coefficient_is_eta": _relative_error(coef_time, eta),
+        "time_coefficient_is_eta": _relative_error(coef_time, coeffs.eta),
         "radial_coefficient_is_neg_inverse_eta":
-            _relative_error(coef_radial, -1 / eta),
+            _relative_error(coef_radial, -1 / coeffs.eta),
         "line_elements_match": eps2_rel_error,
-        "velocity_ratio_recovered": _relative_error(recovered, (v + d) / c),
+        "velocity_ratio_recovered": _relative_error(recovered, s),
     }
     checks = {name: bool(value <= tol) for name, value in measured.items()}
     failures = [f"{name}: measured {float(value)!r} > tolerance {float(tol)!r}"
@@ -339,8 +340,7 @@ def certify_derivation(v, d=0, c=1, order: int = 2,
     # keyed on s = -alpha > 0, not on eta < 1: in floats eta rounds to 1
     # once s is below about 1e-8, and s can underflow to 0 while v + d > 0
     moving = coeffs.alpha < 0
-    checks["rejected_branch_inconsistent"] = (
-        branch_ratio < 0 if moving else branch_ratio == 0)
+    checks["rejected_branch_inconsistent"] = branch_ratio < 0 if moving else branch_ratio == 0
     if not checks["rejected_branch_inconsistent"]:
         failures.append(f"rejected_branch_inconsistent: flipped branch sees "
                         f"dr_s/dT_s = {float(branch_ratio)!r} for a co-moving "
@@ -353,7 +353,7 @@ def certify_derivation(v, d=0, c=1, order: int = 2,
                              "is beyond the float range") from None
     return CertificationReport(
         v=v, d=d, c=c, exact=exact, order=order,
-        eta=eta, alpha=coeffs.alpha, beta=coeffs.beta,
+        eta=coeffs.eta, alpha=coeffs.alpha, beta=coeffs.beta,
         coef_time=coef_time, coef_cross=coef_cross, coef_radial=coef_radial,
         lhs_coeffs=lhs.coeffs, rhs_coeffs=rhs.coeffs,
         lhs_eps2=lhs_eps2, rhs_eps2=rhs_eps2, eps2_rel_error=eps2_rel_error,

@@ -389,6 +389,17 @@ class TestConfig:
         assert_rejected(result)
         assert result.stderr == "error: config: top level must be a JSON object\n"
 
+    def test_deeply_nested_config_rejected(self, tmp_path):
+        # the JSON parser recurses once per bracket, past the interpreter's
+        # recursion limit; in a fresh process, as a user runs it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), LIGHTCLOCK_CONFIG=str(cfg))
+        proc = subprocess.run([sys.executable, "-m", "lightclock", "velmap", "--vmax", "0.5"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == \
+            (2, "", "error: config: JSON nested too deeply\n")
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -442,7 +453,7 @@ class TestHelpAndErrors:
         assert "".join(expected.split()) in "".join(cli(["decay", "--help"]).stdout.split())
 
     def test_default_tolerance_is_the_library_one(self):
-        # a literal in cli, so that reading a config never imports line_element
+        # one constant in errors, so that reading a config never imports line_element
         assert cli_module.RunConfig().tolerance == IDENTITY_TOL
 
     def test_version(self, cli):
@@ -548,7 +559,7 @@ class TestClickValueSemantics:
         result = cli(["derive", "--v", "1/2", "--d", "-1/10"])
         report = certify_derivation(0.5, -0.1, 1.0)
         assert result.exit_code == 0
-        assert result.stdout == cli_module._json_text(report.as_dict())
+        assert result.stdout == json.dumps(report.as_dict(), indent=2) + "\n"
 
     @pytest.mark.parametrize("argv, stderr", [
         (["radar", "--x0", "-inf", "--t1", "1"], "error: --x0 must be finite, got -inf\n"),

@@ -174,7 +174,7 @@ def test_csv_output_loads_no_json(name):
 
 
 def test_certify_order_default_is_the_infinitesimals_one():
-    # a literal in line_element, so that velmap and decay never import infinitesimals
+    # one constant in errors, so that velmap and decay never import infinitesimals
     order = inspect.signature(certify_derivation).parameters["order"].default
     assert order == DEFAULT_ORDER
 

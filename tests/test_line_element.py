@@ -146,6 +146,16 @@ class TestRejectedBranch:
         assert ratio < 0
         assert branch_rejected(Fraction(1, 10 ** 400), exact=True)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_moving_point_seen_at_rest_fails_the_check(self, monkeypatch, exact):
+        # a ratio of exactly 0 is no rejection once v + d > 0; -0.0 in floats
+        monkeypatch.setattr(line_element, "check_rejected_branch",
+                            lambda coeffs: 0 * coeffs.alpha)
+        report = certify_derivation(Fraction(3, 5), exact=exact)
+        assert [name for name, ok in report.checks.items() if not ok] == [
+            "rejected_branch_inconsistent"]
+        assert report.failures[0].endswith("point, expected < 0")
+
     def test_flipped_branch_still_kills_cross_term(self):
         tc = solve_transform_coeffs(LineElementParams(v=math.sqrt(0.6)))
         flipped = TransformCoeffs(alpha=-tc.alpha, beta=-tc.beta, eta=tc.eta)
@@ -384,6 +394,16 @@ class TestDerivationConsistency:
         assert report.eps2_rel_error == 0.0
         assert report.eta == Fraction(16, 25)
         assert report.alpha == Fraction(-3, 5)
+
+    def test_exact_certification_ignores_the_float_tolerance(self, monkeypatch):
+        # a dilated interval off by one part in 10**12 fails at zero tolerance,
+        # though the tol passed in would forgive it
+        real = line_element._dilated_interval
+        monkeypatch.setattr(line_element, "_dilated_interval",
+                            lambda *args: real(*args) * (1 + Fraction(1, 10 ** 12)))
+        report = certify_derivation(Fraction(3, 5), exact=True, tol=1e-6)
+        assert [name for name, ok in report.checks.items() if not ok] == ["line_elements_match"]
+        assert report.failures[0].endswith(" > tolerance 0.0")
 
     def test_float_certification_report_values(self):
         report = certify_derivation(0.6)

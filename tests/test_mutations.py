@@ -62,9 +62,8 @@ def radial_sign_flipped(alpha, beta):
     return coef_t, cross, beta * beta - (1 + alpha * beta) ** 2
 
 
-def radial_not_inverted(dr, dt, p):
-    lam = line_element.lambda_factor(p)
-    d_t = dt * p.c
+def radial_not_inverted(dr, dt, c, lam):
+    d_t = dt * c
     return d_t * d_t * lam - (dr * dr) * lam
 
 
@@ -100,7 +99,8 @@ FAULTS = [
      "time_coefficient_is_eta"),
     ("lightclock.line_element.expand_quadratic", radial_sign_flipped,
      "radial_coefficient_is_neg_inverse_eta"),
-    ("lightclock.line_element.line_element_m", radial_not_inverted, "line_elements_match"),
+    ("lightclock.line_element._dilated_interval", radial_not_inverted,
+     "line_elements_match"),
     ("lightclock.line_element.velocity_ratio", ratio_upside_down, "velocity_ratio_recovered"),
     ("lightclock.line_element.check_rejected_branch", alpha_not_flipped,
      "rejected_branch_inconsistent"),
