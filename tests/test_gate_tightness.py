@@ -13,7 +13,6 @@ import pytest
 
 from lightclock import cli as cli_module
 from lightclock import decay
-from lightclock.cli import RunConfig
 from lightclock.decay import (
     DecayModel,
     _close,
@@ -53,12 +52,6 @@ def test_closeness_tolerance_is_1e_12():
     zero = TruncatedHyper.constant(0.0)
     assert infinitely_close(zero, TruncatedHyper.constant(1e-12))
     assert not infinitely_close(zero, TruncatedHyper.constant(1.5e-12))
-
-
-def test_run_config_tolerance_stops_at_1e_6():
-    assert RunConfig(tolerance=1e-6).tolerance == 1e-6
-    with pytest.raises(ValueError, match=r"tolerance must lie in \[0, 1e-6\]"):
-        RunConfig(tolerance=1.5e-6)
 
 
 def test_velmap_accepts_max_steps_and_no_more(cli, monkeypatch):

@@ -28,9 +28,9 @@ FRAMES = dict(tau_s=1.0, v=0.6, c=1.0, lam=0.64, gamma=0.8, tau_m_analytic=1.25,
 
 # (record, keywords giving every field, defaults, literal repr)
 CASES = [
-    (RunConfig, dict(c=2.0, tolerance=0.0, format="json", out="x.json"),
-     dict(c=1.0, tolerance=1e-12, format="csv", out=None),
-     "RunConfig(c=2.0, tolerance=0.0, format='json', out='x.json')"),
+    (RunConfig, dict(c=2.0, format="json", out="x.json"),
+     dict(c=1.0, format="csv", out=None),
+     "RunConfig(c=2.0, format='json', out='x.json')"),
     (_Option, dict(flag="--x0", convert=None, help="Position.", default=None,
                    required=True, multiple=False),
      dict(default=None, required=False, multiple=False),
