@@ -16,6 +16,7 @@ Each command imports the library modules it runs when it runs.  ``_read``
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import sys
@@ -29,6 +30,13 @@ from .errors import (BLOCK, MAX_SAMPLES, LightClockError, Record, check_light_sp
 ENV_CONFIG = "LIGHTCLOCK_CONFIG"
 Z_GATE = 5.0
 MAX_STEPS = 10 ** 6
+# Python's default limit on the digits of an int read from text: the most a
+# rational flag may spell, an exponent e-n or en counted as n digits, so that
+# no text builds a power of ten beyond it
+MAX_DIGITS = 4300
+# A flat config of three keys needs a few hundred bytes; the read stops here
+# even where the path names a device such as /dev/zero
+MAX_CONFIG_BYTES = 2 ** 20
 
 EXIT_OK = 0
 EXIT_PARAM = 2
@@ -92,8 +100,12 @@ class RunConfig(Record):
     def from_file(cls, path: str) -> "RunConfig":
         import json  # only a config file or a JSON report needs it
 
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with Path(path).open("rb") as file:
+            data = file.read(MAX_CONFIG_BYTES + 1)
+        if len(data) > MAX_CONFIG_BYTES:
+            raise ValueError(f"config: file is longer than {MAX_CONFIG_BYTES} bytes")
+        try:  # decoded as Path.read_text decodes, newlines included
+            raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
         except RecursionError:  # the parser recurses once per nested array or object
             raise ValueError("config: JSON nested too deeply") from None
         if not isinstance(raw, dict):
@@ -224,6 +236,15 @@ def _integer(flag: str, text: str) -> int:
 def _rational(flag: str, text: str):
     from fractions import Fraction  # only derive reads rationals
 
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        size = abs(int(exponent or 0))
+    except ValueError:  # no integer exponent: Fraction rejects the text below
+        size = 0
+    size += sum(map(str.isdigit, mantissa))
+    if size > MAX_DIGITS:
+        raise ValueError(f"{flag} must spell at most {MAX_DIGITS} digits, an exponent's "
+                         f"magnitude counted as digits, got {size}")
     try:
         value = Fraction(text)
         float(value)  # every report field is a float

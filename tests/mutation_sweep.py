@@ -22,9 +22,14 @@ the first mutant, the unparsed but unmutated modules must pass the tests.
         --function errors.check_speed --function radar.simulate_ping > sweep.jsonl
 
 ``--function MODULE.QUALNAME`` (repeatable) limits the sites to the bodies of
-those functions and classes; without it every site of every module is
-mutated, one test run per site.  The file is not named ``test_*.py``, so
-pytest does not collect it.
+those functions and classes.  ``--since REV`` adds every function whose
+``ast.dump`` differs from the same function at the git revision REV, or that
+is new since, so a change can sweep what it touched:
+
+    python tests/mutation_sweep.py --since HEAD~1 > sweep.jsonl
+
+Without either, every site of every module is mutated, one test run per
+site.  The file is not named ``test_*.py``, so pytest does not collect it.
 """
 
 import argparse
@@ -124,6 +129,42 @@ def mutate(module, source, wanted, target=None):
     return ast.unparse(tree) + "\n", mutator.applied, mutator.count
 
 
+def functions(source):
+    """QUALNAME: ``ast.dump`` of every function in ``source``, methods and
+    nested functions included."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = [*scope, child.name]
+                if not isinstance(child, ast.ClassDef):
+                    found[".".join(name)] = ast.dump(child)
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def changed_functions(rev, sources):
+    """MODULE.QUALNAME of each function in ``sources`` that differs from, or
+    is missing in, the same module at the git revision ``rev``."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+    if git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}").returncode:
+        sys.exit(f"unknown git revision {rev!r}")
+    changed = []
+    for module, source in sources.items():
+        old = git("show", f"{rev}:{(PACKAGE / module).as_posix()}.py")
+        before = functions(old.stdout) if old.returncode == 0 else {}  # a new module
+        changed += [f"{module}.{name}" for name, dump in functions(source).items()
+                    if before.get(name) != dump]
+    return changed
+
+
 def run_tests(workdir):
     """None when the tests pass in ``workdir``, else what failed first."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -144,9 +185,17 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--function", action="append", default=[],
                         help="MODULE.QUALNAME whose body to mutate; repeatable")
+    parser.add_argument("--since", metavar="REV",
+                        help="also mutate every function changed since git revision REV")
     args = parser.parse_args(argv)
     sources = {path.stem: path.read_text(encoding="utf-8")
                for path in sorted((ROOT / PACKAGE).glob("*.py"))}
+    if args.since:
+        changed = changed_functions(args.since, sources)
+        if not changed:
+            sys.exit(f"no function changed since {args.since}")
+        args.function += changed
+        print(f"changed since {args.since}: {' '.join(changed)}", file=sys.stderr)
     counts = {m: mutate(m, text, args.function)[2] for m, text in sources.items()}
     counts = {m: n for m, n in counts.items() if n}
     if not counts:

@@ -145,6 +145,40 @@ class TestDeriveCommand:
         result = cli(["derive", "--v", "fast"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("argv", [["--v", "1e-100000000"], ["--exact", "--v", "1e-100000"]])
+    def test_huge_exponent_rejected_before_any_power_is_built(self, argv):
+        # 10**100000000 would take minutes to build, and an exact chain on a
+        # 100001-digit denominator tens of seconds; in a fresh process
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "lightclock", "derive", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        size = int(argv[-1].split("e-")[1]) + 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: --v must spell at most 4300 digits, an exponent's magnitude "
+                   f"counted as digits, got {size}\n")
+
+    @pytest.mark.parametrize("text, size", [
+        ("1e-4299", 4300), ("0.5e-4298", 4300), ("1/" + "7" * 4299, 4300),
+        ("1e-4300", 4301), ("0.5e-4299", 4301), ("1/" + "7" * 4300, 4301)])
+    def test_digit_bound_is_inclusive(self, cli, monkeypatch, text, size):
+        result = cli(["derive", "--exact", "--c", text, "--v", "0"])
+        if size <= cli_module.MAX_DIGITS:
+            assert result.exit_code == 0
+        else:
+            assert_rejected(result)
+            assert result.stderr.endswith(f"counted as digits, got {size}\n")
+        # the bound is read at call time
+        monkeypatch.setattr(cli_module, "MAX_DIGITS", size)
+        assert cli(["derive", "--exact", "--c", text, "--v", "0"]).exit_code == 0
+
+    def test_exponent_that_is_no_integer_counts_no_digits(self, cli):
+        # at the bound, such a text is reported as malformed, not as too long
+        text = "1/" + "7" * 4299 + "ex"
+        result = cli(["derive", "--v", text])
+        assert_rejected(result)
+        assert result.stderr == \
+            f"error: --v must be a finite number (decimal or p/q), got {text!r}\n"
+
 
 class TestDecayCommand:
     def test_json_report(self, cli):
@@ -378,6 +412,18 @@ class TestConfig:
         keys = [row.split("`")[1] for row in section.splitlines()
                 if row.startswith("| `")]
         assert keys == list(cli_module.RunConfig._fields)
+
+    def test_config_read_stops_at_the_bound(self, cli, tmp_path):
+        # a regular file at the bound is read whole; one byte more is refused
+        cfg = tmp_path / "cfg.json"
+        bound = cli_module.MAX_CONFIG_BYTES
+        cfg.write_text("{}" + " " * (bound - 2))
+        env = {"LIGHTCLOCK_CONFIG": str(cfg)}
+        assert cli(["velmap", "--vmax", "0.5", "--steps", "1"], env=env).exit_code == 0
+        cfg.write_text("{}" + " " * (bound - 1))
+        result = cli(["velmap", "--vmax", "0.5", "--steps", "1"], env=env)
+        assert_rejected(result)
+        assert result.stderr == f"error: config: file is longer than {bound} bytes\n"
 
     def test_missing_config_file_rejected(self, cli):
         result = cli(["velmap", "--vmax", "0.5"],
