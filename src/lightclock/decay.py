@@ -16,10 +16,10 @@ seeded Monte Carlo ensembles: lifetimes are inverse-CDF draws
 the seed, sample index = stream position), streamed in blocks of at most
 ``BLOCK`` samples, the leaves of numpy's pairwise summation tree.  Both
 frames' subtrees go into one task list; the calling thread and plain
-``threading.Thread``s, capped at the CPUs the process may run on and the
-task count, take them in turn, draw each from one generator and hold one
-block at a time, so memory is O(threads * 1 MiB) and a run is bit-identical
-for a fixed (tau, samples, seed) whatever the number of workers.
+``threading.Thread``s, capped at the CPU count and the task count, take
+them in turn, draw each from one generator and hold one block at a time,
+so memory is O(threads * 1 MiB) and a run is bit-identical for a fixed
+(tau, samples, seed) whatever the number of workers.
 
 Only the ensemble engine imports numpy, when it draws, so importing
 lightclock and the derive, radar and velmap commands never load it.
@@ -229,21 +229,17 @@ def _keyed_sums(streams: list[tuple[float, int]], n: int, workers: int) -> list[
     Every stream is cut into the same subtree tasks, about 8 per thread,
     each drawing its leaves in order from one Philox advanced to its first
     sample.  All tasks go into one list, handed out under a lock, so no
-    thread idles while another stream still has work.  ``min(workers, cpus,
-    tasks)`` threads run them, the caller among them, where ``cpus`` counts
-    the CPUs this process may run on, or the machine's CPUs on a platform
-    without affinity masks.  The first error any thread hits is raised once
-    all have stopped.  Each stream's task sums go back through the same
-    ``_pairwise`` top.
+    thread idles while another stream still has work.  ``min(workers,
+    cpu_count, tasks)`` threads run them, the caller among them; the first
+    error any thread hits is raised once all have stopped.  Each stream's
+    task sums go back through the same ``_pairwise`` top.
     """
     # imported here, to keep numpy off the start-up path of every other command
     import threading
 
     import numpy as np
 
-    # the CPUs this process may run on, where the platform can say
-    usable = getattr(os, "sched_getaffinity", None)
-    cpus = min(workers, len(usable(0)) if usable else os.cpu_count() or 1)
+    cpus = min(workers, os.cpu_count() or 1)
     node = n // (8 * cpus)
     spans = _pairwise(0, n, lambda lo, size: [(lo, size)], node)
     tasks = [(tau, seed, lo, size) for tau, seed in streams for lo, size in spans]

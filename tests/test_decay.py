@@ -3,7 +3,6 @@
 import itertools
 import math
 import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -49,19 +48,6 @@ def full_buffer_mean(tau, m, seed):
 def stream(seed, start=0):
     """The Philox stream keyed by seed, from sample ``start`` (a multiple of 4)."""
     return np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
-
-
-def usable_cpus():
-    """The engine's thread cap: the CPUs this process may run on, where the
-    platform has affinity masks, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def set_cpus(monkeypatch, n):
-    """Let the engine see an affinity mask of n CPUs, on any platform."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 @pytest.fixture
@@ -451,51 +437,14 @@ class TestRunEnsemble:
         base = draw(1)
         capped = draw(workers)
         # one task per leaf and frame, run by the caller and the threads it starts
-        assert inline_threads["threads"] == min(workers, 3 * frames, usable_cpus())
+        assert inline_threads["threads"] == min(workers, 3 * frames, os.cpu_count() or 1)
         assert base == capped
 
     def test_unknown_cpu_count_runs_one_thread(self, monkeypatch, inline_threads):
-        # a platform without affinity masks falls back on the CPU count
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr("os.cpu_count", lambda: None)
         m = 2 * BLOCK + 8
         assert run_ensemble(1.0, m, 0, workers=3) == run_ensemble(1.0, m, 0)
         assert inline_threads["threads"] == 1
-
-    def test_cpu_count_caps_threads_without_an_affinity_mask(self, monkeypatch,
-                                                             inline_threads):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
-        m = 2 * BLOCK + 8
-        assert run_ensemble(1.0, m, 0, workers=3) == run_ensemble(1.0, m, 0)
-        assert inline_threads["threads"] == 2
-
-    def test_one_cpu_mask_runs_one_thread(self, monkeypatch, inline_threads):
-        # the machine may have more CPUs than the process may run on
-        set_cpus(monkeypatch, 1)
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        p, m = LineElementParams(v=0.6), 2 * BLOCK + 8
-        assert compare_frames(1.0, p, m, 0, workers=2) == compare_frames(1.0, p, m, 0)
-        assert inline_threads["threads"] == 1
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
-    def test_process_pinned_to_one_cpu_starts_no_thread(self):
-        # as under taskset -c 0: a fresh process pins itself to one CPU
-        body = (
-            "import os, threading\n"
-            "from lightclock.decay import BLOCK, compare_frames\n"
-            "from lightclock.line_element import LineElementParams\n"
-            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            "started, start = [], threading.Thread.start\n"
-            "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
-            "p, m = LineElementParams(v=0.6), 2 * BLOCK + 8\n"
-            "pinned = compare_frames(1.0, p, m, 0, workers=2)\n"
-            "print(len(started), pinned == compare_frames(1.0, p, m, 0))\n")
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", body], capture_output=True,
-                              text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True\n", "")
 
     def test_default_is_the_calling_thread_alone(self, inline_threads):
         run_ensemble(1.0, 2 * BLOCK + 8, 0)
@@ -514,7 +463,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("frames", [1, 2])
     def test_pool_bookkeeping_is_bounded_by_threads(self, monkeypatch, inline_threads,
                                                     frames):
-        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         # the sums are not under test: one zero per leaf runs in milliseconds
         monkeypatch.setattr("lightclock.decay._leaf_lifetimes", lambda *leaf: np.zeros(1))
         if frames == 1:
@@ -528,7 +477,7 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("workers, builds", [(1, 8), (2, 16)])
     def test_one_generator_per_subtree_task(self, monkeypatch, workers, builds):
-        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
         real, built = np.random.Philox, []
 
         def counting_philox(*args, **kwargs):
@@ -541,7 +490,7 @@ class TestRunEnsemble:
         assert len(built) == builds
 
     def test_memory_bounded_by_threads_times_block(self):
-        threads = min(2, usable_cpus())
+        threads = min(2, os.cpu_count() or 1)
         # warm: the first call also imports numpy and numpy.random
         run_ensemble(1.0, 64 * BLOCK, 0, workers=2)
         tracemalloc.start()
@@ -618,7 +567,7 @@ class TestCompareFrames:
         monkeypatch.setattr("lightclock.decay.BLOCK", 2 ** 10)
         p, m = LineElementParams(v=0.6), 64 * 2 ** 10 + 8
         expected = compare_frames(1.0, p, m, 3, workers=1)
-        set_cpus(monkeypatch, 8)
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
