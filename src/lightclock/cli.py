@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 parameter or config error, 3 statistical
 acceptance failure (decay z-score gate), 4 internal certification failure.
 Exits 3 and 4 say on stderr which check failed and by how much.
 
-Each command imports the library modules it runs when it runs.  ``_read``
-(the argv, in one pass) and ``_help`` both work from one table, ``_COMMANDS``.
+Each command imports the library modules it runs when it runs, and returns
+its report, format, failure lines and their exit code: ``main`` writes every
+report and sets exits 2 to 4.  ``_read`` (the argv, in one pass) and
+``_help`` both work from one table, ``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -124,37 +126,31 @@ class RunConfig(Record):
         return base._replace(**{k: v for k, v in flags.items() if v is not None})
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _cell(value) -> str:
+def _cell(name: str, value) -> str:
     """One CSV cell: shortest round-trip form of a finite float, empty for None."""
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(_check_finite("every CSV value", value))
+        return repr(_check_finite(name, value))
     return str(value)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _write(report, fmt: str, out: str | None) -> None:
-    """The one writer of a report, a dict or a list of dicts, as JSON or CSV."""
+    """The one writer of a report, a dict or a list of dicts, as JSON or as
+    CSV: a header row of the keys, then one row per dict."""
     if fmt == "json":
         import json  # only a JSON report or a config file needs it
 
-        _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", out)
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         rows = report if isinstance(report, list) else [report]
-        _emit(_csv(list(rows[0]), [list(row.values()) for row in rows]), out)
+        lines = [",".join(rows[0])]
+        lines += [",".join(_cell(key, value) for key, value in row.items()) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def radar(cfg, x0, v, t1):
@@ -164,7 +160,7 @@ def radar(cfg, x0, v, t1):
     if not t1:
         raise ValueError("at least one --t1 emission time is required")
     records = [simulate_ping(Reflector(x0=x0, v=v), t, cfg.c) for t in t1]
-    _write([r.as_dict() for r in records], cfg.format, cfg.out)
+    return [r.as_dict() for r in records], cfg.format, [], EXIT_OK
 
 
 def derive(cfg, v, d, exact):
@@ -172,11 +168,8 @@ def derive(cfg, v, d, exact):
     from .line_element import certify_derivation
 
     report = certify_derivation(v, d, cfg.c, exact=exact)
-    _write(report.as_dict(), "json", cfg.out)
-    if not report.passed:
-        for line in report.failures:
-            print(f"certification check failed: {line}", file=sys.stderr)
-        sys.exit(EXIT_CERTIFICATION)
+    failures = [f"certification check failed: {line}" for line in report.failures]
+    return report.as_dict(), "json", failures, EXIT_CERTIFICATION
 
 
 def decay(cfg, tau_s, v, samples, seed, workers):
@@ -186,12 +179,12 @@ def decay(cfg, tau_s, v, samples, seed, workers):
 
     params = LineElementParams(v=v, d=0.0, c=cfg.c)
     comparison = compare_frames(tau_s, params, samples, seed, workers=workers)
-    _write(comparison.as_dict(), cfg.format, cfg.out)
+    failures = []
     if not abs(comparison.z_score) <= Z_GATE:
-        print(f"dilation check failed: z = {comparison.z_score!r} is outside "
-              f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
-              f"tau_hat_m = {comparison.tau_hat_m!r}", file=sys.stderr)
-        sys.exit(EXIT_STATISTICAL)
+        failures.append(f"dilation check failed: z = {comparison.z_score!r} is outside "
+                        f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
+                        f"tau_hat_m = {comparison.tau_hat_m!r}")
+    return comparison.as_dict(), cfg.format, failures, EXIT_STATISTICAL
 
 
 def velmap(cfg, vmax, steps, alternate):
@@ -203,18 +196,17 @@ def velmap(cfg, vmax, steps, alternate):
         raise ValueError(f"--vmax must be nonnegative, got {vmax}")
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"--steps must lie in 1..{MAX_STEPS}, got {steps}")
-    header = ["v", "w"] + (["w_alt"] if alternate else [])
     rows = []
     for i in range(steps + 1):
         vi = vmax * i
         # vmax * i overflows only for vmax near the float limit, and the last
         # row's vmax * steps / steps can round above vmax, even up to c
         vi = min(vi / steps, vmax) if vi < math.inf else vmax * (i / steps)
-        row = [vi, nsppm_velocity(vi, cfg.c)]
+        row = {"v": vi, "w": nsppm_velocity(vi, cfg.c)}
         if alternate:
-            row.append(standard_rapidity(vi, cfg.c))
+            row["w_alt"] = standard_rapidity(vi, cfg.c)
         rows.append(row)
-    _emit(_csv(header, rows), cfg.out)
+    return rows, "csv", [], EXIT_OK
 
 
 def _number(kind, flag: str, text: str):
@@ -416,15 +408,21 @@ def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> None
     """Run one command.  Returns None on success and raises ``SystemExit``
     with the exit code otherwise; ``--help`` and ``--version`` exit 0.
 
-    This is the one place where a rejected input becomes exit 2 and one
-    ``error:`` line on stderr.  ``standalone_mode`` is accepted for callers
-    written against the earlier click front end, and ignored.
+    The one place where a rejected input becomes exit 2 and one ``error:``
+    line on stderr, and where failure lines follow the report with exit 3
+    or 4.  ``standalone_mode`` is accepted for callers written against the
+    earlier click front end, and ignored.
     """
     try:
         run, values = _read(sys.argv[1:] if argv is None else list(argv))
         flags = {key: values.pop(key) for key in RunConfig._fields if key in values}
-        run(RunConfig.from_env(**flags), **values)
+        cfg = RunConfig.from_env(**flags)
+        report, fmt, failures, code = run(cfg, **values)
+        _write(report, fmt, cfg.out)
     except (LightClockError, ValueError, OverflowError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_PARAM)
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        sys.exit(code)
