@@ -284,7 +284,7 @@ class EnsembleRun(Record):
 
 
 def _check_ensemble(tau: float, sample_count: int, seed: int, workers: int) -> None:
-    check_positive("mean lifetime", tau)
+    _check_rest_lifetime(tau)
     if not 1 <= sample_count <= MAX_SAMPLES:
         raise ValueError(f"sample count must lie in 1..{MAX_SAMPLES}, got {sample_count}")
     if not 0 <= seed < _SEED_LIMIT:
@@ -301,7 +301,7 @@ def run_ensemble(tau: float, sample_count: int, seed: int,
     counter-based stream; the estimator is their ``np.mean``, bit for bit,
     with standard error ``tau_hat / sqrt(M)``.  Results are bit-identical
     for fixed (tau, sample_count, seed) regardless of ``workers``.  At most
-    ``MAX_SAMPLES`` lifetimes are drawn.
+    ``MAX_SAMPLES`` lifetimes are drawn, and ``tau`` is a rest lifetime.
     """
     _check_ensemble(tau, sample_count, seed, workers)
     tau_hat = _keyed_sums([(tau, seed)], sample_count, workers)[0] / sample_count

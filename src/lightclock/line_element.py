@@ -198,14 +198,15 @@ def nsppm_velocity(v, c=1.0):
 
 
 def standard_rapidity(v, c=1.0):
-    """Textbook hyperbolic-angle map ``(c/2)*ln((1+v/c)/(1-v/c))``.
+    """Textbook hyperbolic-angle map ``(c/2)*ln((1+v/c)/(1-v/c))``, evaluated
+    as its closed form ``c*atanh(v/c)``, which keeps tiny ``v/c`` that ``1 + v/c``
+    would round away.
 
     Provided only as a labelled alternate column for comparison with
     ``nsppm_velocity``; nothing in this package derives from it.
     """
     check_speed(v, c)
-    u = v / c
-    return 0.5 * c * math.log((1 + u) / (1 - u))
+    return c * math.atanh(v / c)
 
 
 def invert_nsppm_velocity(w, c=1.0):

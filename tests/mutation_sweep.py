@@ -15,8 +15,15 @@ The checkout is never edited.  ``src``, ``tests``, ``pyproject.toml`` and
 module there (as ``ast.unparse`` prints it, so comments are dropped) and runs
 ``pytest -x tests``: every test, so a survivor is one that no test kills.  The
 mutant is killed when pytest fails or times out.  One JSON line per mutant,
-with the first failed test, goes to stdout, and the counts to stderr.  Before
-the first mutant, the unparsed but unmutated modules must pass the tests.
+with its operator, the source it changes as written and as mutated, and the
+first failed test, goes to stdout, and the counts to stderr.  Before the
+first mutant, the unparsed but unmutated modules must pass the tests.
+
+A survivor that behaves as the original does (an equivalent mutant) gets a
+line in the ledger, ``tests/data/mutants.txt``, keyed by text, not by site
+number; the sweep marks each survivor the ledger names.  The ledger's own
+test, which checks that each line still names a site, is left out of the
+sweep's test runs, since the modules there are unparsed and mutated.
 
     python tests/mutation_sweep.py \\
         --function errors.check_speed --function radar.simulate_ping > sweep.jsonl
@@ -45,6 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "lightclock"
+LEDGER = ROOT / "tests" / "data" / "mutants.txt"
+LEDGER_TEST = "tests/test_mutant_ledger.py"
 TIMEOUT = 600  # seconds; a mutant that hangs the tests counts as killed
 SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -55,8 +64,9 @@ class Mutator(ast.NodeTransformer):
     """Counts the mutation sites of one module in a fixed order, within the
     wanted scopes, and applies the site numbered ``target``, if any."""
 
-    def __init__(self, module, wanted, target=None):
+    def __init__(self, module, source, wanted, target=None):
         self.module, self.wanted, self.target = module, wanted, target
+        self.lines = source.splitlines()
         self.scope, self.count, self.applied = [], 0, None
 
     def _in_scope(self):
@@ -64,18 +74,24 @@ class Mutator(ast.NodeTransformer):
         return not self.wanted or any(name == w or name.startswith(w + ".")
                                       for w in self.wanted)
 
-    def _site(self, node, make):
-        """One site at ``node``; at the target, the node that ``make()`` builds."""
+    def _site(self, node, operator, make):
+        """One site at ``node``; at the target, the node that ``make()`` builds.
+
+        ``before`` and ``after`` are the source lines that hold the node, as
+        written and with the mutant in its place, each on one line."""
         if not self._in_scope():
             return node
         self.count += 1
         if self.count - 1 != self.target:
             return node
-        before = ast.unparse(node)
         mutant = ast.copy_location(make(), node)
+        lines = self.lines[node.lineno - 1:node.end_lineno]
+        head = lines[0].encode()[:node.col_offset].decode()  # offsets count UTF-8 bytes
+        tail = lines[-1].encode()[node.end_col_offset:].decode()
         self.applied = {"module": self.module, "function": ".".join(self.scope),
-                        "line": node.lineno, "before": before,
-                        "after": ast.unparse(mutant)}
+                        "line": node.lineno, "operator": operator,
+                        "before": " ".join("\n".join(lines).split()),
+                        "after": " ".join(f"{head}{ast.unparse(mutant)}{tail}".split())}
         return mutant
 
     def _scoped(self, node):
@@ -91,7 +107,7 @@ class Mutator(ast.NodeTransformer):
         for i, op in enumerate(node.ops):
             if type(op) in SWAPS:
                 ops = [*node.ops[:i], SWAPS[type(op)](), *node.ops[i + 1:]]
-                node = self._site(node, lambda ops=ops:
+                node = self._site(node, "relational", lambda ops=ops:
                                   ast.Compare(node.left, ops, node.comparators))
         return node
 
@@ -99,34 +115,56 @@ class Mutator(ast.NodeTransformer):
         self.generic_visit(node)
         if type(node.op) not in SWAPS:
             return node
-        return self._site(node, lambda: ast.BinOp(node.left, SWAPS[type(node.op)](),
-                                                  node.right))
+        return self._site(node, "arithmetic", lambda: ast.BinOp(
+            node.left, SWAPS[type(node.op)](), node.right))
 
     def visit_BoolOp(self, node):
         self.generic_visit(node)
-        return self._site(node, lambda: ast.BoolOp(SWAPS[type(node.op)](), node.values))
+        return self._site(node, "boolean",
+                          lambda: ast.BoolOp(SWAPS[type(node.op)](), node.values))
 
     def visit_UnaryOp(self, node):
         self.generic_visit(node)
         if not isinstance(node.op, ast.Not):
             return node
-        return self._site(node, lambda: node.operand)
+        return self._site(node, "not", lambda: node.operand)
 
     def visit_Constant(self, node):
         value = node.value
         if type(value) is int:
-            return self._site(node, lambda: ast.Constant(value + 1))
+            return self._site(node, "constant", lambda: ast.Constant(value + 1))
         if type(value) is float:
-            return self._site(node, lambda: ast.Constant(value * 2 or 1.0))
+            return self._site(node, "constant", lambda: ast.Constant(value * 2 or 1.0))
         return node
 
 
 def mutate(module, source, wanted, target=None):
     """(source as ast.unparse prints it with site ``target`` mutated, the
     applied site or None, the number of sites)."""
-    mutator = Mutator(module, wanted, target)
+    mutator = Mutator(module, source, wanted, target)
     tree = ast.fix_missing_locations(mutator.visit(ast.parse(source)))
     return ast.unparse(tree) + "\n", mutator.applied, mutator.count
+
+
+def ledger_key(site):
+    """What a ledger line names of a site: module, qualname, operator, and
+    the source as written and as mutated."""
+    return tuple(site[k] for k in ("module", "function", "operator", "before", "after"))
+
+
+def read_ledger(path=LEDGER):
+    """{ledger_key: reason} of each ledger line: the five key fields, then
+    ``equivalent: <reason>``, separated by tabs; "#" starts a comment line."""
+    entries = {}
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line or line.startswith("#"):
+            continue
+        *key, verdict = line.split("\t")
+        if len(key) != 5 or not verdict.startswith("equivalent: "):
+            raise ValueError(f"{path.name}:{number}: expected 5 tab-separated key "
+                             f"fields, then 'equivalent: <reason>'")
+        entries[tuple(key)] = verdict[len("equivalent: "):]
+    return entries
 
 
 def functions(source):
@@ -170,7 +208,8 @@ def run_tests(workdir):
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q",
-                               "-p", "no:cacheprovider", "tests"], cwd=workdir, env=env,
+                               "-p", "no:cacheprovider", "--ignore", LEDGER_TEST, "tests"],
+                              cwd=workdir, env=env,
                               capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -213,7 +252,7 @@ def main(argv=None):
         failed = run_tests(workdir)
         if failed:
             sys.exit(f"the unmutated modules, as ast.unparse prints them, fail: {failed}")
-        killed = survived = 0
+        ledger, killed, survived, known = read_ledger(), 0, 0, 0
         for module, count in counts.items():
             path = workdir / PACKAGE / f"{module}.py"
             unmutated = path.read_text(encoding="utf-8")
@@ -224,11 +263,14 @@ def main(argv=None):
                 site["failed"] = run_tests(workdir)
                 site["killed"] = site["failed"] is not None
                 site["seconds"] = round(time.perf_counter() - start, 1)
+                if not site["killed"] and ledger_key(site) in ledger:
+                    site["equivalent"] = ledger[ledger_key(site)]
+                    known += 1
                 killed, survived = killed + site["killed"], survived + (not site["killed"])
                 print(json.dumps(site), flush=True)
             path.write_text(unmutated, encoding="utf-8")
-    print(f"{killed + survived} mutants: {killed} killed, {survived} survived",
-          file=sys.stderr)
+    print(f"{killed + survived} mutants: {killed} killed, {survived} survived, "
+          f"{known} of them in the ledger", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -325,6 +325,16 @@ class TestVelmapCommand:
         vs = [float(line.split(",")[0]) for line in result.stdout.splitlines()[1:]]
         assert vs == [0.0, 1e308 / 3, 1e308 * (2 / 3), 1e308]
 
+    @pytest.mark.parametrize("args, column", [
+        (["--vmax", "0.9999999999e308", "--c", "1e308", "--steps", "1", "--alternate"], "w"),
+        # w stays finite, the larger textbook angle does not
+        (["--vmax", "1.36e308", "--c", "1.7e308", "--steps", "1", "--alternate"], "w_alt"),
+    ])
+    def test_overflow_line_names_its_column(self, cli, args, column):
+        result = cli(["velmap", *args])
+        assert (result.exit_code, result.stdout, result.stderr) == \
+            (2, "", f"error: {column} must be finite, got inf\n")
+
     def test_vmax_at_light_speed_exits_2(self, cli):
         result = cli(["velmap", "--vmax", "1.0"])
         assert result.exit_code == 2

@@ -374,10 +374,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError):
             run_ensemble(1.0, 0, 0)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    # 1e308 overflowed to tau_hat = inf and 5e-324 gave stderr = 0.0: every
+    # ensemble obeys the one rest-lifetime rule, before any draw can warn
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf, 1e308, 1e16, 5e-324])
     def test_invalid_lifetime_rejected(self, tau):
-        with pytest.raises(ValueError, match="mean lifetime"):
-            run_ensemble(tau, 10, 0)
+        with pytest.raises(ValueError, match="^rest lifetime must be positive and finite"):
+            run_ensemble(tau, 1000, 0)
 
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
