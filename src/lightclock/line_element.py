@@ -198,9 +198,8 @@ def nsppm_velocity(v, c=1.0):
 
 
 def standard_rapidity(v, c=1.0):
-    """Textbook hyperbolic-angle map ``(c/2)*ln((1+v/c)/(1-v/c))``, evaluated
-    as its closed form ``c*atanh(v/c)``, which keeps tiny ``v/c`` that ``1 + v/c``
-    would round away.
+    """Textbook hyperbolic-angle map ``(c/2)*ln((1+v/c)/(1-v/c))``, taken as
+    ``c*atanh(v/c)``, which keeps the tiny ``v/c`` that ``1 + v/c`` rounds away.
 
     Provided only as a labelled alternate column for comparison with
     ``nsppm_velocity``; nothing in this package derives from it.

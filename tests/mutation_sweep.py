@@ -77,8 +77,9 @@ class Mutator(ast.NodeTransformer):
     def _site(self, node, operator, make):
         """One site at ``node``; at the target, the node that ``make()`` builds.
 
-        ``before`` and ``after`` are the source lines that hold the node, as
-        written and with the mutant in its place, each on one line."""
+        ``before`` and ``after`` are the source lines that hold the node,
+        joined into one, with the node's span as ``ast.unparse`` prints the
+        node, and the mutant in its place."""
         if not self._in_scope():
             return node
         self.count += 1
@@ -90,7 +91,7 @@ class Mutator(ast.NodeTransformer):
         tail = lines[-1].encode()[node.end_col_offset:].decode()
         self.applied = {"module": self.module, "function": ".".join(self.scope),
                         "line": node.lineno, "operator": operator,
-                        "before": " ".join("\n".join(lines).split()),
+                        "before": " ".join(f"{head}{ast.unparse(node)}{tail}".split()),
                         "after": " ".join(f"{head}{ast.unparse(mutant)}{tail}".split())}
         return mutant
 
