@@ -2,13 +2,13 @@
 
 Outputs are machine readable (CSV with a mandatory header row, or JSON that
 validates against the schemas shipped in ``lightclock.schemas``) and byte
-reproducible for identical flags, config and seed.  A flat key-value JSON
-config file can be pointed to by the ``LIGHTCLOCK_CONFIG`` environment
-variable; explicit flags always win over config values.
+reproducible for identical flags and seed.  Flags are the one way to set a
+value: ``LIGHTCLOCK_CONFIG``, which once named a JSON file of defaults, is
+refused when set, so that an old file's light speed never falls back to 1.
 
-Exit codes: 0 success, 2 parameter or config error, 3 statistical
-acceptance failure (decay z-score gate), 4 internal certification failure.
-Exits 3 and 4 say on stderr which check failed and by how much.
+Exit codes: 0 success, 2 parameter error, 3 statistical acceptance failure
+(decay z-score gate), 4 internal certification failure.  Exits 3 and 4 say
+on stderr which check failed and by how much.
 
 Each command imports the library modules it runs when it runs, and returns
 its report, format, failure lines and their exit code: ``main`` writes every
@@ -18,11 +18,9 @@ report and sets exits 2 to 4.  ``_read`` (the argv, in one pass) and
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import sys
-from numbers import Real
 from pathlib import Path
 
 from . import __version__
@@ -36,9 +34,6 @@ MAX_STEPS = 10 ** 6
 # rational flag may spell, an exponent e-n or en counted as n digits, so that
 # no text builds a power of ten beyond it
 MAX_DIGITS = 4300
-# A flat config of three keys needs a few hundred bytes; the read stops here
-# even where the path names a device such as /dev/zero
-MAX_CONFIG_BYTES = 2 ** 20
 
 EXIT_OK = 0
 EXIT_PARAM = 2
@@ -47,83 +42,10 @@ EXIT_CERTIFICATION = 4
 
 
 def _check_finite(name: str, value: float) -> float:
-    """The one finiteness check of float flags, float config fields and CSV cells."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        finite, value = False, f"an integer of {len(str(abs(value)))} digits"
-    if not finite:
+    """The one finiteness check of float flags and CSV cells."""
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
-
-
-def _check_out(name: str, path: str) -> str:
-    """The one output-path check, of the flag and of the config value, made
-    before any work, so that no work is done for an output that must fail."""
-    if os.path.isdir(path):
-        raise ValueError(f"{name}: {path!r} is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise ValueError(f"{name}: the directory of {path!r} does not exist")
-    return path
-
-
-def _check_format(name: str, value: str) -> str:
-    """The one output-format check, of the flag and of the config value."""
-    if value not in ("csv", "json"):
-        raise ValueError(f"{name}: invalid choice: {value!r} (choose from 'csv', 'json')")
-    return value
-
-
-class RunConfig(Record):
-    """Defaults shared by all subcommands, overridable per flag.
-
-    Documented ranges: ``c > 0``; ``format`` one of ``csv``/``json``;
-    ``out`` a file path in an existing directory.
-    Unknown keys and values of the wrong JSON type are rejected.
-    """
-
-    c: float = 1.0
-    format: str = "csv"
-    out: str | None = None
-
-    def __post_init__(self):
-        # bool is an int subclass, so JSON true would pass as 1
-        if isinstance(self.c, bool) or not isinstance(self.c, Real):
-            raise ValueError(f"c must be a number, got {self.c!r}")
-        _check_finite("c", self.c)
-        if self.out is not None:
-            if not isinstance(self.out, str):
-                raise ValueError(f"out must be a path string, got {self.out!r}")
-            _check_out("out", self.out)
-        check_light_speed(self.c)
-        _check_format("format", self.format)
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        import json  # only a config file or a JSON report needs it
-
-        with Path(path).open("rb") as file:
-            data = file.read(MAX_CONFIG_BYTES + 1)
-        if len(data) > MAX_CONFIG_BYTES:
-            raise ValueError(f"config: file is longer than {MAX_CONFIG_BYTES} bytes")
-        try:  # decoded as Path.read_text decodes, newlines included
-            raw = json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-        except RecursionError:  # the parser recurses once per nested array or object
-            raise ValueError("config: JSON nested too deeply") from None
-        if not isinstance(raw, dict):
-            raise ValueError("config: top level must be a JSON object")
-        unknown = set(raw).difference(cls._fields)
-        if unknown:
-            raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        return cls(**raw)
-
-    @classmethod
-    def from_env(cls, **flags) -> "RunConfig":
-        """The config file (validated alone, so a bad value fails even where a
-        flag overrides it), then every flag given, under the same checks."""
-        path = os.environ.get(ENV_CONFIG)
-        base = cls.from_file(path) if path else cls()
-        return base._replace(**{k: v for k, v in flags.items() if v is not None})
 
 
 def _cell(name: str, value) -> str:
@@ -139,7 +61,7 @@ def _write(report, fmt: str, out: str | None) -> None:
     """The one writer of a report, a dict or a list of dicts, as JSON or as
     CSV: a header row of the keys, then one row per dict."""
     if fmt == "json":
-        import json  # only a JSON report or a config file needs it
+        import json  # only a JSON report needs it
 
         text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
@@ -153,45 +75,45 @@ def _write(report, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def radar(cfg, x0, v, t1):
+def radar(x0, v, t1, c, format):
     """Ping a uniformly moving reflector and print Einstein measures."""
     from .radar import Reflector, simulate_ping
 
     if not t1:
         raise ValueError("at least one --t1 emission time is required")
-    records = [simulate_ping(Reflector(x0=x0, v=v), t, cfg.c) for t in t1]
-    return [r.as_dict() for r in records], cfg.format, [], EXIT_OK
+    records = [simulate_ping(Reflector(x0=x0, v=v), t, c) for t in t1]
+    return [r.as_dict() for r in records], format, [], EXIT_OK
 
 
-def derive(cfg, v, d, exact):
+def derive(v, d, c, exact):
     """Certify the line-element derivation chain at one (v, d, c)."""
     from .line_element import certify_derivation
 
-    report = certify_derivation(v, d, cfg.c, exact=exact)
+    report = certify_derivation(v, d, c, exact=exact)
     failures = [f"certification check failed: {line}" for line in report.failures]
     return report.as_dict(), "json", failures, EXIT_CERTIFICATION
 
 
-def decay(cfg, tau_s, v, samples, seed, workers):
+def decay(tau_s, v, c, samples, seed, workers, format):
     """Compare rest- and moving-frame decay ensembles against 1/gamma."""
     from .decay import compare_frames
     from .line_element import LineElementParams
 
-    params = LineElementParams(v=v, d=0.0, c=cfg.c)
+    params = LineElementParams(v=v, d=0.0, c=c)
     comparison = compare_frames(tau_s, params, samples, seed, workers=workers)
     failures = []
     if not abs(comparison.z_score) <= Z_GATE:
         failures.append(f"dilation check failed: z = {comparison.z_score!r} is outside "
                         f"|z| <= {Z_GATE!r}; tau_hat_s = {comparison.tau_hat_s!r}, "
                         f"tau_hat_m = {comparison.tau_hat_m!r}")
-    return comparison.as_dict(), cfg.format, failures, EXIT_STATISTICAL
+    return comparison.as_dict(), format, failures, EXIT_STATISTICAL
 
 
-def velmap(cfg, vmax, steps, alternate):
+def velmap(vmax, steps, c, alternate):
     """Tabulate the substratum velocity map w(v) as CSV."""
     from .line_element import nsppm_velocity, standard_rapidity
 
-    check_speed(vmax, cfg.c)
+    check_speed(vmax, c)
     if vmax < 0:
         raise ValueError(f"--vmax must be nonnegative, got {vmax}")
     if not 1 <= steps <= MAX_STEPS:
@@ -202,9 +124,9 @@ def velmap(cfg, vmax, steps, alternate):
         # vmax * i overflows only for vmax near the float limit, and the last
         # row's vmax * steps / steps can round above vmax, even up to c
         vi = min(vi / steps, vmax) if vi < math.inf else vmax * (i / steps)
-        row = {"v": vi, "w": nsppm_velocity(vi, cfg.c)}
+        row = {"v": vi, "w": nsppm_velocity(vi, c)}
         if alternate:
-            row["w_alt"] = standard_rapidity(vi, cfg.c)
+            row["w_alt"] = standard_rapidity(vi, c)
         rows.append(row)
     return rows, "csv", [], EXIT_OK
 
@@ -247,11 +169,20 @@ def _rational(flag: str, text: str):
 
 
 def _path(flag: str, text: str) -> str:
-    return _check_out(f"argument {flag}", text)
+    """The one output-path check, made as the argv is read, so that no work
+    is done for an output that must fail."""
+    if os.path.isdir(text):
+        raise ValueError(f"argument {flag}: {text!r} is a directory")
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise ValueError(f"argument {flag}: the directory of {text!r} does not exist")
+    return text
 
 
 def _format(flag: str, text: str) -> str:
-    return _check_format(f"argument {flag}", text)
+    if text not in ("csv", "json"):
+        raise ValueError(f"argument {flag}: invalid choice: {text!r} "
+                         "(choose from 'csv', 'json')")
+    return text
 
 
 class _Option(Record):
@@ -269,8 +200,8 @@ class _Option(Record):
         return self.flag[2:].replace("-", "_")
 
 
-_C = _Option("--c", _finite_float, "Local light speed [config c, default 1].")
-_FORMAT = _Option("--format", _format, "Output format [config format, default csv].")
+_C = _Option("--c", _finite_float, "Local light speed.", 1.0)
+_FORMAT = _Option("--format", _format, "Output format.", "csv")
 _OUT = _Option("--out", _path, "Write output to this path instead of stdout.")
 
 _COMMANDS = {
@@ -283,7 +214,7 @@ _COMMANDS = {
     "derive": (derive, (
         _Option("--v", _rational, "Primary velocity.", required=True),
         _Option("--d", _rational, "Secondary velocity term.", 0),
-        _Option("--c", _rational, _C.help),
+        _Option("--c", _rational, _C.help, _C.default),
         _Option("--exact", None, "Certify over exact rationals at zero tolerance."),
         _Option("--out", _path, "Write the JSON report to this path instead of stdout."))),
     "decay": (decay, (
@@ -322,8 +253,7 @@ def _help(name: str | None) -> str:
                  "Simulate radar (Einstein) measurements, certify the velocity-\n"
                  "dependent line-element derivation, tabulate the substratum\n"
                  "velocity map, and confirm lifetime dilation on seeded decay\n"
-                 "ensembles.\n\n"
-                 f"Set {ENV_CONFIG} to a flat JSON file to change defaults.")
+                 "ensembles.")
         sections = {"options": [("--help", _HELP), ("--version", "Show the version and exit.")],
                     "commands": [(cmd, run.__doc__) for cmd, (run, _) in _COMMANDS.items()]}
     else:
@@ -415,10 +345,12 @@ def main(argv: list[str] | None = None, *, standalone_mode: bool = True) -> None
     """
     try:
         run, values = _read(sys.argv[1:] if argv is None else list(argv))
-        flags = {key: values.pop(key) for key in RunConfig._fields if key in values}
-        cfg = RunConfig.from_env(**flags)
-        report, fmt, failures, code = run(cfg, **values)
-        _write(report, fmt, cfg.out)
+        if os.environ.get(ENV_CONFIG):
+            raise ValueError(f"{ENV_CONFIG} is no longer read; pass --c, --format or --out")
+        check_light_speed(values["c"])
+        out = values.pop("out")
+        report, fmt, failures, code = run(**values)
+        _write(report, fmt, out)
     except (LightClockError, ValueError, OverflowError, OSError,
             MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

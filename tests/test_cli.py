@@ -1,4 +1,4 @@
-"""CLI tests: subcommands, exit codes, formats, config and schemas."""
+"""CLI tests: subcommands, exit codes, formats, flags and schemas."""
 
 import json
 import os
@@ -275,19 +275,6 @@ class TestDecayCommand:
         assert result.stderr == \
             f"error: argument --out: the directory of {target!r} does not exist\n"
 
-    @pytest.mark.parametrize("out, problem", [
-        ("", "is a directory"), ("missing/x.json", "does not exist")])
-    def test_config_out_rejected_before_drawing(self, cli, tmp_path, monkeypatch,
-                                                out, problem):
-        # the config is checked alone, so an --out that overrides it does not save it
-        monkeypatch.setattr(decay_module, "compare_frames", None)  # never reached
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"out": str(tmp_path / out)}))
-        result = cli(["decay", "--tau-s", "1", "--out", str(tmp_path / "x.json")],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert_rejected(result)
-        assert result.stderr.startswith("error: out: ") and problem in result.stderr
-
 
 class TestVelmapCommand:
     def test_table_shape_and_first_row(self, cli):
@@ -355,108 +342,59 @@ class TestVelmapCommand:
             assert vs == [repr(min(vmax * i / steps, vmax)) for i in range(steps + 1)]
 
 
-class TestConfig:
-    def test_config_changes_default_light_speed(self, cli, tmp_path):
+class TestRetiredConfig:
+    """``LIGHTCLOCK_CONFIG`` no longer sets any value: a run with it set is
+    refused once the argv is read, so that an old file's ``c`` never falls
+    back to 1 unnoticed."""
+
+    LINE = "error: LIGHTCLOCK_CONFIG is no longer read; pass --c, --format or --out\n"
+    ARGVS = {
+        "radar": ["radar", "--x0", "5", "--t1", "0"],
+        "derive": ["derive", "--v", "0.5"],
+        "decay": ["decay", "--tau-s", "1", "--samples", "10"],
+        "velmap": ["velmap", "--vmax", "0.5"],
+    }
+
+    @pytest.mark.parametrize("cmd", ARGVS)
+    def test_set_variable_exits_2_in_a_fresh_process(self, tmp_path, cmd):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"c": 2.0}))
-        result = cli(["radar", "--x0", "5", "--v", "0", "--t1", "0"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert result.exit_code == 0
-        row = result.stdout.splitlines()[1].split(",")
-        assert float(row[1]) == 5.0  # t3 = 2 * 5 / 2
-
-    def test_flag_overrides_config(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"c": 2.0}))
-        result = cli(["radar", "--x0", "5", "--v", "0",
-                      "--t1", "0", "--c", "1"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        row = result.stdout.splitlines()[1].split(",")
-        assert float(row[1]) == 10.0
-
-    def test_config_format_default(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": "json"}))
-        result = cli(["radar", "--x0", "1", "--v", "0", "--t1", "1"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert result.stdout.lstrip().startswith("[")
-
-    def test_unknown_key_rejected(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"speed_of_light": 2.0}))
-        result = cli(["velmap", "--vmax", "0.5"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert result.exit_code == 2
-        assert "unknown keys" in result.stderr
-
-    @pytest.mark.parametrize("key, value", [("order", 2), ("tau_bound", 1e15),
-                                            ("tolerance", 1e-12)])
-    def test_removed_key_rejected(self, cli, tmp_path, key, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        result = cli(["derive", "--v", "0.5"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert_rejected(result)
-        assert result.stderr == f"error: config: unknown keys [{key!r}]\n"
-
-    def test_out_of_range_value_rejected(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"c": -1}))
-        result = cli(["derive", "--v", "0.5"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert_rejected(result)
-        assert result.stderr == "error: light speed must be positive and finite, got -1\n"
-
-    def test_integer_beyond_float_range_rejected(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"c": 1{"0" * 400}}}')
-        result = cli(["derive", "--v", "0.5"],
-                     env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert_rejected(result)
-        assert result.stderr == "error: c must be finite, got an integer of 401 digits\n"
-
-    def test_readme_table_lists_every_key(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        text = readme.read_text(encoding="utf-8")
-        section = text.split("### Configuration")[1].split("\n### ")[0]
-        keys = [row.split("`")[1] for row in section.splitlines()
-                if row.startswith("| `")]
-        assert keys == list(cli_module.RunConfig._fields)
-
-    def test_config_read_stops_at_the_bound(self, cli, tmp_path):
-        # a regular file at the bound is read whole; one byte more is refused
-        cfg = tmp_path / "cfg.json"
-        bound = cli_module.MAX_CONFIG_BYTES
-        cfg.write_text("{}" + " " * (bound - 2))
-        env = {"LIGHTCLOCK_CONFIG": str(cfg)}
-        assert cli(["velmap", "--vmax", "0.5", "--steps", "1"], env=env).exit_code == 0
-        cfg.write_text("{}" + " " * (bound - 1))
-        result = cli(["velmap", "--vmax", "0.5", "--steps", "1"], env=env)
-        assert_rejected(result)
-        assert result.stderr == f"error: config: file is longer than {bound} bytes\n"
-
-    def test_missing_config_file_rejected(self, cli):
-        result = cli(["velmap", "--vmax", "0.5"],
-                     env={"LIGHTCLOCK_CONFIG": "/nonexistent/cfg.json"})
-        assert result.exit_code == 2
-
-    def test_config_that_is_not_an_object_rejected(self, cli, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]")
-        result = cli(["velmap", "--vmax", "0.5"], env={"LIGHTCLOCK_CONFIG": str(cfg)})
-        assert_rejected(result)
-        assert result.stderr == "error: config: top level must be a JSON object\n"
-
-    def test_deeply_nested_config_rejected(self, tmp_path):
-        # the JSON parser recurses once per bracket, past the interpreter's
-        # recursion limit; in a fresh process, as a user runs it
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[" * 100_000)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), LIGHTCLOCK_CONFIG=str(cfg))
-        proc = subprocess.run([sys.executable, "-m", "lightclock", "velmap", "--vmax", "0.5"],
-                              capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == \
-            (2, "", "error: config: JSON nested too deeply\n")
+
+        def run(argv):
+            proc = subprocess.run([sys.executable, "-m", "lightclock", *argv],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        assert run(self.ARGVS[cmd]) == (2, "", self.LINE)
+        code, stdout, stderr = run([cmd, "--help"])
+        assert (code, stderr) == (0, "") and stdout.startswith(f"usage: lightclock {cmd} ")
+        assert run(["--version", cmd]) == (0, f"lightclock {lightclock.__version__}\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        # a flag that gives the file's value, and one that would be refused
+        ["radar", "--x0", "5", "--t1", "0", "--c", "2"],
+        ["radar", "--x0", "5", "--t1", "0", "--c", "-1"],
+        ["velmap", "--vmax", "0.5", "--out", "x.csv"],
+        ["decay", "--tau-s", "1", "--format", "json"],
+    ])
+    def test_no_flag_saves_a_set_variable(self, cli, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(decay_module, "compare_frames", None)  # never reached
+        result = cli(argv, env={"LIGHTCLOCK_CONFIG": "cfg.json"})
+        assert_rejected(result)
+        assert result.stderr == self.LINE
+        assert list(tmp_path.iterdir()) == []
+
+    def test_usage_error_is_reported_first(self, cli):
+        result = cli(["radar", "--x0", "5", "--c", "abc"], env={"LIGHTCLOCK_CONFIG": "x"})
+        assert_rejected(result)
+        assert result.stderr == "error: argument --c: invalid float value: 'abc'\n"
+
+    def test_empty_variable_is_ignored(self, cli):
+        result = cli(self.ARGVS["radar"], env={"LIGHTCLOCK_CONFIG": ""})
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == "t1,t3,c,tE,rE,vE\n0.0,10.0,1.0,5.0,5.0,1.0\n"
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -488,6 +426,16 @@ class TestHelpAndErrors:
             note = " [required]" if opt.required else (
                 "" if opt.default is None else f" [default: {opt.default}]")
             assert f" {opt.flag}{metavar} {opt.help}{note} " in help_text, opt.flag
+
+    @pytest.mark.parametrize("cmd", ["radar", "derive", "decay", "velmap"])
+    def test_help_states_the_flag_defaults(self, cli, cmd):
+        # flags are the one way to set c and the format, so their help says what
+        # a run without them uses
+        help_text = cli([cmd, "--help"]).stdout
+        assert re.search(r"^  --c \w+ +Local light speed\. \[default: 1\.0\]$", help_text, re.M)
+        has_format = "--format" in self.FLAGS[cmd]
+        assert has_format == bool(re.search(
+            r"^  --format \{csv,json\} +Output format\. \[default: csv\]$", help_text, re.M))
 
     def test_top_level_help(self, cli):
         result = cli(["--help"])
@@ -527,40 +475,27 @@ class TestHelpAndErrors:
         text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
         assert re.search(r'^version = "(.*)"$', text, re.M)[1] == lightclock.__version__
 
-    @pytest.mark.parametrize("args, config", [
-        (["decay", "--tau-s", "1", "--v", "nan", "--format", "json"], None),
-        (["decay", "--tau-s", "1", "--c", "inf"], None),
-        (["radar", "--x0", "1", "--t1", "1", "--c", "nan"], None),
-        (["velmap", "--vmax", "0.5", "--c", "inf"], None),
-        (["radar", "--x0", "1", "--t1", "1"], '{"c": NaN}'),
-        (["velmap", "--vmax", "0.5"], '{"c": "2"}'),
-        (["velmap", "--vmax", "0.5"], '{"format": 5}'),
-        (["velmap", "--vmax", "0.5"], '{"out": 5}'),
-        # a bad config value fails even where a flag overrides it
-        (["velmap", "--vmax", "0.5", "--c", "1"], '{"c": true}'),
-        (["derive", "--v", "1e400"], None),
-        (["velmap", "--vmax", "0.5", "--out", "{tmp}/missing/x.csv"], None),
-        (["radar", "--x0", "1e308", "--t1", "1"], None),
-        (["radar", "--x0", "1e308", "--t1", "1", "--format", "json"], None),
+    @pytest.mark.parametrize("args", [
+        ["decay", "--tau-s", "1", "--v", "nan", "--format", "json"],
+        ["decay", "--tau-s", "1", "--c", "inf"],
+        ["radar", "--x0", "1", "--t1", "1", "--c", "nan"],
+        ["velmap", "--vmax", "0.5", "--c", "inf"],
+        ["derive", "--v", "1e400"],
+        ["velmap", "--vmax", "0.5", "--out", "{tmp}/missing/x.csv"],
+        ["radar", "--x0", "1e308", "--t1", "1"],
+        ["radar", "--x0", "1e308", "--t1", "1", "--format", "json"],
         # every lifetime underflows to 0 at this seed
-        (["decay", "--tau-s", "5e-324", "--samples", "1", "--seed", "0"], None),
+        ["decay", "--tau-s", "5e-324", "--samples", "1", "--seed", "0"],
         # a subnormal rest lifetime keeps too few bits to be dilated
-        (["decay", "--tau-s", "5e-324", "--v", "0.6", "--samples", "1000"], None),
-        (["velmap", "--vmax", "0.5", "--steps", "1000001"], None),
+        ["decay", "--tau-s", "5e-324", "--v", "0.6", "--samples", "1000"],
+        ["velmap", "--vmax", "0.5", "--steps", "1000001"],
         # w exceeds the float range although vmax < c
-        (["velmap", "--vmax", "1.69e308", "--c", "1.7e308", "--steps", "1"], None),
+        ["velmap", "--vmax", "1.69e308", "--c", "1.7e308", "--steps", "1"],
         # c - v overflows although |v| < c
-        (["radar", "--x0", "1", "--v", "-1.7e308", "--c", "1.79e308", "--t1", "-1"],
-         None),
+        ["radar", "--x0", "1", "--v", "-1.7e308", "--c", "1.79e308", "--t1", "-1"],
     ])
-    def test_non_finite_input_exits_2(self, cli, tmp_path, args, config):
-        env = {}
-        if config is not None:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(config)
-            env = {"LIGHTCLOCK_CONFIG": str(cfg)}
-        args = [a.replace("{tmp}", str(tmp_path)) for a in args]
-        assert_rejected(cli(args, env=env))
+    def test_non_finite_input_exits_2(self, cli, tmp_path, args):
+        assert_rejected(cli([a.replace("{tmp}", str(tmp_path)) for a in args]))
 
     def test_unallocatable_ensemble_exits_2(self, cli):
         # 10^12 samples, 7.28 TiB as one buffer: refused by the cap, on every

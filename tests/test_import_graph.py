@@ -1,6 +1,6 @@
 """Import graph: each command loads only the lightclock modules it runs,
 only the decay path loads numpy (and with it inspect), only derive loads
-fractions and decimal, only a JSON report or a config loads json, and no
+fractions and decimal, only a JSON report loads json, and no
 command or submodule loads concurrent.futures, click, argparse or
 dataclasses.  The package's lazy exports are the same objects as its
 submodules' names.
@@ -167,10 +167,19 @@ def test_start_up_loads_no_rationals(name):
     run_child_without(ENTRY_ARGVS[name], RATIONALS)
 
 
-# only a JSON report or a config file loads json
+# only a JSON report loads json
 @pytest.mark.parametrize("name", ["radar_csv", "velmap", "decay", "help", "version"])
 def test_csv_output_loads_no_json(name):
     run_child_without(ENTRY_ARGVS[name], {"json"})
+
+
+def test_refused_config_variable_is_not_read():
+    # a set LIGHTCLOCK_CONFIG stops a JSON report before its command runs, and
+    # no file is parsed, so json stays unloaded
+    body = ("import os\nos.environ['LIGHTCLOCK_CONFIG'] = 'cfg.json'\n"
+            + CLI_BODY.format(argv=LEAN_ARGVS["radar_json"]).replace("== 0", "== 2")
+            + "assert 'json' not in sys.modules\n")
+    run_child(body, [], PARSER)
 
 
 def test_certify_order_default_is_the_infinitesimals_one():

@@ -1,4 +1,5 @@
-"""Behaviour of lightclock's 13 immutable records, pinned field by field.
+"""Behaviour of lightclock's 12 immutable records, and of a record whose
+every field has a default, pinned field by field.
 
 Each record is built from keywords, then checked for its literal repr,
 equality and hash, immutability, defaults, argument errors and a pickle
@@ -11,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from lightclock.cli import RunConfig, _Option
+from lightclock.cli import _Option
 from lightclock.decay import DecayModel, EnsembleRun, FrameComparison, SeparableSolution
+from lightclock.errors import Record
 from lightclock.infinitesimals import GridApprox, TruncatedHyper
 from lightclock.line_element import CertificationReport, LineElementParams, TransformCoeffs
 from lightclock.radar import RadarRecord, Reflector
@@ -26,11 +28,21 @@ REPORT = dict(v=0.5, d=0.0, c=1.0, exact=False, order=2, eta=0.75, alpha=-0.5,
 FRAMES = dict(tau_s=1.0, v=0.6, c=1.0, lam=0.64, gamma=0.8, tau_m_analytic=1.25,
               tau_hat_s=1.0, tau_hat_m=1.25, ratio=1.25, z_score=0.0, samples=10, seed=1)
 
+
+
+class Defaults(Record):
+    """No lightclock record defaults every field, so this one stands in."""
+
+    c: float = 1.0
+    format: str = "csv"
+    out: str | None = None
+
+
 # (record, keywords giving every field, defaults, literal repr)
 CASES = [
-    (RunConfig, dict(c=2.0, format="json", out="x.json"),
+    (Defaults, dict(c=2.0, format="json", out="x.json"),
      dict(c=1.0, format="csv", out=None),
-     "RunConfig(c=2.0, format='json', out='x.json')"),
+     "Defaults(c=2.0, format='json', out='x.json')"),
     (_Option, dict(flag="--x0", convert=None, help="Position.", default=None,
                    required=True, multiple=False),
      dict(default=None, required=False, multiple=False),
@@ -71,6 +83,7 @@ IDS = [case[0].__name__ for case in CASES]
 
 def test_every_record_is_covered():
     assert len(CASES) == len(set(IDS)) == 13
+    assert set(Record.__subclasses__()) == {case[0] for case in CASES}
 
 
 @pytest.mark.parametrize("cls, kwargs, defaults, text", CASES, ids=IDS)
