@@ -121,9 +121,9 @@ def velmap(vmax, steps, c, alternate):
     rows = []
     for i in range(steps + 1):
         vi = vmax * i
-        # vmax * i overflows only for vmax near the float limit, and the last
-        # row's vmax * steps / steps can round above vmax, even up to c
-        vi = min(vi / steps, vmax) if vi < math.inf else vmax * (i / steps)
+        # the last row is vmax itself, which vmax * steps / steps can round
+        # away from, even up to c; vmax * i overflows only near the float limit
+        vi = vmax if i == steps else vi / steps if vi < math.inf else vmax * (i / steps)
         row = {"v": vi, "w": nsppm_velocity(vi, c)}
         if alternate:
             row["w_alt"] = standard_rapidity(vi, c)

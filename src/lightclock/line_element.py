@@ -191,10 +191,11 @@ def nsppm_velocity(v, c=1.0):
     their w-values.
     """
     check_speed(v, c)
-    u = (v / c) ** 2
-    # log1p difference evaluates ln((1+u)/(1-u)) without losing tiny u to
-    # the 1+u rounding floor
-    return 0.5 * c * (math.log1p(u) - math.log1p(-u))
+    r = v / c
+    # ln(1 + 2r**2/(1 - r**2)) keeps a tiny r**2 that 1 + r**2 would round
+    # away, and 1 - r**2 is taken as (1 - r)(1 + r), whose 1 - r is exact near
+    # c, where a rounded r**2 would cost up to 2**20 ulps
+    return 0.5 * c * math.log1p(2 * r * r / ((1 - r) * (1 + r)))
 
 
 def standard_rapidity(v, c=1.0):

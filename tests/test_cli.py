@@ -339,7 +339,7 @@ class TestVelmapCommand:
             vmax, steps = rng.uniform(0, 1), rng.randint(1, 40)
             result = cli(["velmap", "--vmax", repr(vmax), "--steps", str(steps)])
             vs = [line.split(",")[0] for line in result.stdout.splitlines()[1:]]
-            assert vs == [repr(min(vmax * i / steps, vmax)) for i in range(steps + 1)]
+            assert vs == [repr(vmax * i / steps) for i in range(steps)] + [repr(vmax)]
 
 
 class TestRetiredConfig:
