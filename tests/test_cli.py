@@ -509,6 +509,16 @@ class TestHelpAndErrors:
     def test_unknown_subcommand_exits_2(self, cli):
         assert_rejected(cli(["teleport"]))
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["radar", "--x0", "1", "--c", "-1"], "-1.0"),  # before the missing --t1
+        (["velmap", "--vmax", "2", "--steps", "0", "--c", "0"], "0.0"),
+        (["derive", "--v", "2", "--c", "-1/2"], "-1/2"),
+    ])
+    def test_light_speed_is_checked_before_the_command_runs(self, cli, argv, shown):
+        result = cli(argv)
+        assert_rejected(result)
+        assert result.stderr == f"error: light speed must be positive and finite, got {shown}\n"
+
 
 class TestClickValueSemantics:
     """How the CLI reads an argv, pinned to what the click front end did.
