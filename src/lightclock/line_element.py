@@ -191,11 +191,13 @@ def nsppm_velocity(v, c=1.0):
     their w-values.
     """
     check_speed(v, c)
-    r = v / c
-    # ln(1 + 2r**2/(1 - r**2)) keeps a tiny r**2 that 1 + r**2 would round
-    # away, and 1 - r**2 is taken as (1 - r)(1 + r), whose 1 - r is exact near
-    # c, where a rounded r**2 would cost up to 2**20 ulps
-    return 0.5 * c * math.log1p(2 * r * r / ((1 - r) * (1 + r)))
+    r = abs(v / c)
+    u = r * r
+    # ln(1 + 2u/(1 - u)) keeps a tiny u that 1 + u would round away.  From
+    # r = 1/2 on, 1 - u is (1 - r)(1 + r), whose 1 - r is exact, so near c the
+    # rounding of u is not magnified (it cost up to 2**20 ulps); below, 1 - u
+    # is as accurate, and a rounded 1 - r there would let w step down
+    return 0.5 * c * math.log1p(2 * u / ((1 - r) * (1 + r) if r >= 0.5 else 1 - u))
 
 
 def standard_rapidity(v, c=1.0):
