@@ -372,7 +372,7 @@ class TestRetiredConfig:
         assert run(["--version", cmd]) == (0, f"lightclock {lightclock.__version__}\n", "")
 
     @pytest.mark.parametrize("argv", [
-        # a flag that gives the file's value, and one that would be refused
+        # a flag for each of the file's three keys, one value of them bad
         ["radar", "--x0", "5", "--t1", "0", "--c", "2"],
         ["radar", "--x0", "5", "--t1", "0", "--c", "-1"],
         ["velmap", "--vmax", "0.5", "--out", "x.csv"],
