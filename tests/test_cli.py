@@ -386,6 +386,15 @@ class TestRetiredConfig:
         assert result.stderr == self.LINE
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, stdout", [
+        (["--help"], "usage: lightclock [--help] [--version] COMMAND ...\n"),
+        (["--version"], f"lightclock {lightclock.__version__}\n"),
+    ])
+    def test_top_level_help_and_version_exit_0(self, cli, argv, stdout):
+        result = cli(argv, env={"LIGHTCLOCK_CONFIG": "cfg.json"})
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.startswith(stdout)
+
     def test_usage_error_is_reported_first(self, cli):
         result = cli(["radar", "--x0", "5", "--c", "abc"], env={"LIGHTCLOCK_CONFIG": "x"})
         assert_rejected(result)
