@@ -140,7 +140,3 @@ class Record:
     def as_dict(self) -> dict:
         """The compared fields, in order, as the JSON data of a report."""
         return {self._renames.get(f, f): _json_value(self.__dict__[f]) for f in self._compared}
-
-    def _replace(self, **changes):
-        """A copy with the given fields changed, checked like a new record."""
-        return type(self)(**{**self.__dict__, **changes})

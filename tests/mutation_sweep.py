@@ -10,8 +10,9 @@ Operators", ACM TOSEM 5(2), 1996):
 * drop a ``not``;
 * change a numeric constant: +1 for an int, x2 for a float (0.0 becomes 1.0).
 
-The checkout is never edited.  ``src``, ``tests``, ``pyproject.toml`` and
-``README.md`` are copied to a temporary directory; each mutant rewrites one
+The checkout is never edited.  ``src``, ``tests``, ``pyproject.toml``,
+``README.md`` and the root ``conftest.py`` (the tests' environment policy)
+are copied to a temporary directory; each mutant rewrites one
 module there (as ``ast.unparse`` prints it, so comments are dropped) and runs
 ``pytest -x tests``: every test, so a survivor is one that no test kills.  The
 mutant is killed when pytest fails or times out.  One JSON line per mutant,
@@ -245,7 +246,7 @@ def main(argv=None):
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, workdir / name, ignore=ignore)
-        for name in ("pyproject.toml", "README.md"):
+        for name in ("pyproject.toml", "README.md", "conftest.py"):
             shutil.copy(ROOT / name, workdir)
         for module in counts:
             (workdir / PACKAGE / f"{module}.py").write_text(

@@ -3,15 +3,15 @@
 The argvs and their expected output live in ``data/cli_golden.txt``: the
 README examples plus derive, decay, radar and velmap cases chosen for their
 rounding, worker counts and error exits.  An intended output change is made
-by editing that file, so its diff shows the change line by line.
+by editing that file, so its diff shows the change line by line.  Each case
+also keeps the output contract of ``conftest.check_output``, stderr included.
 """
 
 import shlex
 from pathlib import Path
 
 import pytest
-
-from lightclock.cli import ENV_CONFIG
+from conftest import check_output
 
 GOLDEN = Path(__file__).with_name("data") / "cli_golden.txt"
 
@@ -37,8 +37,9 @@ CASES = load_cases()
 @pytest.mark.parametrize("argv, exit_code, stdout", CASES,
                          ids=[" ".join(argv) for argv, _, _ in CASES])
 def test_cli_output_is_pinned(cli, argv, exit_code, stdout):
-    result = cli(argv, env={ENV_CONFIG: None})
+    result = cli(argv)
     assert (result.exit_code, result.stdout) == (exit_code, stdout)
+    check_output(result)
 
 
 def test_every_entry_is_read_and_every_subcommand_covered():

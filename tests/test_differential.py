@@ -3,12 +3,14 @@
 A fixed ``random.Random`` seed draws a few thousand argvs over the four
 commands: valid values, malformed and out-of-range ones, non-finite floats,
 and the reading rules of ``cli._read`` (a repeated flag, ``--flag=value``,
-an unknown flag, a missing value, ``--``, ``--help``, ``--version``).  Each
-case runs in-process through ``cli.main`` with ``LIGHTCLOCK_CONFIG`` unset
-and without ``--out``, so no case depends on a file or a temporary path.
-Each line of ``data/differential.txt`` holds a case's exit code, the sha256
-of its stdout and the sha256 of its stderr, then its argv; all three must
-match.
+an unknown flag, a missing value, ``--``, ``--help``, ``--version``).  A
+second seed appends derive argvs with one value at the digit bound,
+``cli.MAX_DIGITS``, so that the first block's lines never move.  Each case
+runs in-process through ``cli.main`` with ``LIGHTCLOCK_CONFIG`` unset and
+without ``--out``, so no case depends on a file or a temporary path.  Each
+line of ``data/differential.txt`` holds a case's exit code, the sha256 of its
+stdout and the sha256 of its stderr, then its argv; all three must match, and
+every case keeps the output contract of ``conftest.check_output``.
 
 An intended output change regenerates that file, and its diff shows which
 part of which argv changed:
@@ -21,13 +23,15 @@ takes another path on a host without AVX512).
 """
 
 import hashlib
+import os
 import random
 import shlex
 import sys
 from collections import Counter
 from pathlib import Path
 
-from conftest import invoke_cli
+import pytest
+from conftest import check_output, invoke_cli
 
 from lightclock.cli import ENV_CONFIG
 
@@ -35,6 +39,13 @@ CORPUS = Path(__file__).with_name("data") / "differential.txt"
 SEED = 20261019
 CASES_PER_COMMAND = 600
 COMMANDS = ("radar", "derive", "decay", "velmap")
+DIGIT_SEED = 20261021
+DIGIT_CASES = 40
+# a value's digits, an exponent counted as digits: 4300 are read, 4301 refused;
+# 0e5000 is refused although it is 0, and 1e4299 as beyond the float range
+DIGIT_TEXTS = ["1e-4299", "1e-4300", "-1e-4299", "0.5e-4298", "0.5e-4299", "0e5000",
+               "1e4299", "0." + "3" * 4299, "0." + "3" * 4300, "1/" + "7" * 4298,
+               "1/" + "7" * 4299]
 
 # texts for a float flag beyond its usual range, each valid or not
 ODD_FLOATS = ["0", "-0.0", "-1", "1", "2", "1e-9", "1e15", "1e16", "1e308", "-1e308",
@@ -124,18 +135,27 @@ def _argv(rng, command):
     return argv
 
 
+def _digit_argv(rng):
+    """A derive argv with one value at the digit bound."""
+    flags = _flags(rng, "derive")
+    i = rng.choice([i for i, (_, value) in enumerate(flags) if value is not None])
+    flags[i] = (flags[i][0], rng.choice(DIGIT_TEXTS))
+    return ["derive"] + [token for flag, value in flags
+                         for token in ([flag] if value is None else [flag, value])]
+
+
 def draw_argvs():
-    rng = random.Random(SEED)
-    return [_argv(rng, command) for command in COMMANDS for _ in range(CASES_PER_COMMAND)]
+    rng, digit_rng = random.Random(SEED), random.Random(DIGIT_SEED)
+    return ([_argv(rng, command) for command in COMMANDS for _ in range(CASES_PER_COMMAND)]
+            + [_digit_argv(digit_rng) for _ in range(DIGIT_CASES)])
 
 
 def _sha(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digest(argv):
+def digest(result):
     """The exit code and the sha256 of stdout and of stderr, as one line's prefix."""
-    result = invoke_cli(argv, env={ENV_CONFIG: None})
     return f"{result.exit_code} {_sha(result.stdout)} {_sha(result.stderr)}"
 
 
@@ -155,21 +175,33 @@ def test_corpus_is_drawn_from_the_seed():
     assert len(argvs) >= 2000
 
 
-def test_every_case_keeps_its_output():
-    changed = [argv for sha, argv in read_corpus() if digest(argv) != sha]
+@pytest.fixture(scope="module")
+def runs():
+    """(pinned digest, result now) of each case, run once for both tests."""
+    return [(sha, invoke_cli(argv)) for sha, argv in read_corpus()]
+
+
+def test_every_case_keeps_its_output(runs):
+    changed = [list(result.argv) for sha, result in runs if digest(result) != sha]
     by_command = dict(Counter(argv[0] for argv in changed))
     assert not changed, (f"{len(changed)} cases changed, by first token {by_command}; "
                          f"the first: {[shlex.join(a) for a in changed[:5]]}")
 
 
+def test_every_case_keeps_the_output_contract(runs):
+    for _, result in runs:
+        check_output(result)
+
+
 def regenerate():
     lines = ["# exit code, sha256 of stdout, sha256 of stderr (UTF-8), then the argv;",
              "# written by: PYTHONPATH=src python tests/test_differential.py --regen"]
-    lines += [f"{digest(argv)} {shlex.join(argv)}" for argv in draw_argvs()]
+    lines += [f"{digest(invoke_cli(argv))} {shlex.join(argv)}" for argv in draw_argvs()]
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: python tests/test_differential.py --regen")
+    os.environ.pop(ENV_CONFIG, None)  # as the root conftest.py does for the tests
     regenerate()

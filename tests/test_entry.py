@@ -8,37 +8,21 @@ BLAS thread default and the collector policy.
 import gc
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
-
-from lightclock.cli import ENV_CONFIG
+from conftest import ROOT, run_child
 from test_cli_golden import CASES
 from test_decay import GOLDEN_TAU3_M1E5_SEED42
 
-ROOT = Path(__file__).resolve().parents[1]
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
 
 DECAY_CASES = [case for case in CASES if case[0][0] == "decay"]
 
-# runs the entry as "python -m lightclock --version" does, then reports the
-# variable as the process left it
-ENV_PROBE = """
-import os, runpy, sys
-sys.argv = ["lightclock", "--version"]
-try:
-    runpy.run_module("lightclock", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-print(os.environ.get({name!r}))
-"""
-
-# runs the entry on one argv, then reports the collector as the process left
-# it, just before the interpreter's exit collection
-GC_PROBE = """
-import gc, runpy, sys
+# runs the entry as "python -m lightclock ARGV" does, then reports its exit
+# code, the collector and the BLAS thread variable as the process left them,
+# just before the interpreter's exit collection
+PROBE = """
+import gc, os, runpy, sys
 sys.argv = ["lightclock", *{argv!r}]
 try:
     runpy.run_module("lightclock", run_name="__main__")
@@ -46,21 +30,14 @@ except SystemExit as exc:
     code = exc.code
 else:
     code = 0
-print(code, gc.isenabled(), gc.get_freeze_count() > 0)
+print(code, gc.isenabled(), gc.get_freeze_count() > 0, os.environ.get({blas!r}))
 """
 
 
-def child_env(**extra) -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in (ENV_CONFIG, BLAS_THREADS)}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                      env.get("PYTHONPATH")]))
-    env.update(extra)
-    return env
-
-
-def run_module(args: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "lightclock", *args], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
+def probe(argv: list[str], **env: str | None) -> list[str]:
+    result = run_child(["-c", PROBE.format(argv=argv, blas=BLAS_THREADS)], **env)
+    assert result.exit_code == 0, result.stderr
+    return result.stdout.splitlines()[-1].split(" ")
 
 
 def test_golden_decay_cases_are_read():
@@ -70,14 +47,14 @@ def test_golden_decay_cases_are_read():
 @pytest.mark.parametrize("argv, exit_code, stdout", DECAY_CASES,
                          ids=[" ".join(argv) for argv, _, _ in DECAY_CASES])
 def test_decay_through_the_entry_is_pinned(argv, exit_code, stdout):
-    proc = run_module(argv)
-    assert (proc.returncode, proc.stdout) == (exit_code, stdout)
+    result = run_child(["-m", "lightclock", *argv])
+    assert (result.exit_code, result.stdout) == (exit_code, stdout)
 
 
 def test_golden_mean_and_worker_identity_through_the_entry():
     base = ["decay", "--tau-s", "3", "--samples", "100000", "--seed", "42"]
-    one, two = (run_module(base + ["--workers", w]) for w in ("1", "2"))
-    assert one.returncode == two.returncode == 0
+    one, two = (run_child(["-m", "lightclock", *base, "--workers", w]) for w in ("1", "2"))
+    assert one.exit_code == two.exit_code == 0
     assert one.stdout == two.stdout
     header, row = one.stdout.splitlines()
     report = dict(zip(header.split(","), row.split(",")))
@@ -87,12 +64,8 @@ def test_golden_mean_and_worker_identity_through_the_entry():
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")],
                          ids=["unset", "user-set"])
 def test_entry_sets_single_thread_blas_unless_set(preset, expected):
-    extra = {} if preset is None else {BLAS_THREADS: preset}
-    proc = subprocess.run([sys.executable, "-c", ENV_PROBE.format(name=BLAS_THREADS)],
-                          env=child_env(**extra), capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == expected
+    code, *_, blas = probe(["--version"], **{BLAS_THREADS: preset})
+    assert (code, blas) == ("0", expected)
 
 
 def test_in_process_main_leaves_the_environment_alone(cli):
@@ -112,10 +85,7 @@ EXIT_ARGVS = [
 
 @pytest.mark.parametrize("argv, exit_code", EXIT_ARGVS, ids=["exit-0", "exit-2", "exit-3"])
 def test_entry_runs_without_the_collector_and_freezes_the_heap(argv, exit_code):
-    proc = subprocess.run([sys.executable, "-c", GC_PROBE.format(argv=argv)],
-                          env=child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"{exit_code} False True"
+    assert probe(argv)[:3] == [str(exit_code), "False", "True"]
 
 
 def test_in_process_main_leaves_the_collector_alone(cli):

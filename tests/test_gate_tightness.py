@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from lightclock import cli as cli_module
-from lightclock import decay
+from lightclock import decay, line_element
 from lightclock.decay import (
     DecayModel,
     _close,
@@ -20,14 +20,14 @@ from lightclock.decay import (
     compare_frames,
     ode_residual,
 )
-from lightclock.errors import OutOfGridError
+from lightclock.errors import IDENTITY_TOL, OutOfGridError
 from lightclock.infinitesimals import (
     CLOSENESS_TOL,
     TruncatedHyper,
     grid_approximate,
     infinitely_close,
 )
-from lightclock.line_element import LineElementParams, gamma_factor
+from lightclock.line_element import LineElementParams, certify_derivation, gamma_factor
 from lightclock.radar import Reflector, simulate_ping
 
 EPS = sys.float_info.epsilon
@@ -54,6 +54,19 @@ def test_closeness_tolerance_is_1e_12():
     assert not infinitely_close(zero, TruncatedHyper.constant(1.5e-12))
 
 
+@pytest.mark.parametrize("scale, passed", [(0.99e-12, True), (1.01e-12, False)])
+def test_line_elements_match_stops_at_identity_tol(monkeypatch, scale, passed):
+    # the clean chain at v = 0.5 reads 6.7e-16, so a dilated interval off by
+    # 0.99e-12 of itself stays within the gate and one off by 1.01e-12 does not
+    assert IDENTITY_TOL == 1e-12
+    real = line_element._dilated_interval
+    monkeypatch.setattr(line_element, "_dilated_interval",
+                        lambda *args: real(*args) * (1 + scale))
+    report = certify_derivation(0.5)
+    assert [name for name, ok in report.checks.items() if not ok] == \
+        ([] if passed else ["line_elements_match"])
+
+
 def test_velmap_accepts_max_steps_and_no_more(cli, monkeypatch):
     monkeypatch.setattr(cli_module, "MAX_STEPS", 4)
     accepted = cli(["velmap", "--vmax", "0.5", "--steps", "4"])
@@ -67,7 +80,7 @@ def test_velmap_accepts_max_steps_and_no_more(cli, monkeypatch):
 def frames_with_z(z: float):
     def stub(*args, **kwargs):
         report = compare_frames(1.0, LineElementParams(v=0.6), 10, 1)
-        return report._replace(z_score=z)
+        return type(report)(**{**vars(report), "z_score": z})
     return stub
 
 

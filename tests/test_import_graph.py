@@ -12,21 +12,16 @@ which modules got loaded.
 
 import importlib
 import inspect
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, run_child
 
 import lightclock
 from lightclock.decay import BLOCK
 from lightclock.infinitesimals import DEFAULT_ORDER
 from lightclock.line_element import certify_derivation
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
 HEAVY = ("numpy", "inspect", "concurrent.futures", "click", "argparse", "dataclasses")
 # numpy loads inspect itself (numpy._core.overrides), so the decay path cannot drop it
 NUMPY = ["numpy", "inspect"]
@@ -95,38 +90,31 @@ LEAN_ARGVS = {
 }
 
 
-def run(args: list[str]) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "LIGHTCLOCK_CONFIG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
-
-
-def run_child(body: str, expected: list, ours: list) -> None:
+def check_child(body: str, expected: list, ours: list) -> None:
     code = CHILD.format(body=body, heavy=HEAVY, expected=expected, ours=ours)
-    proc = run(["-c", code])
-    assert proc.returncode == 0, proc.stderr
+    result = run_child(["-c", code])
+    assert result.exit_code == 0, result.stderr
     # a child that exits early, e.g. through SystemExit(0), checks nothing
-    assert proc.stdout.endswith("modules checked\n"), proc.stdout
+    assert result.stdout.endswith("modules checked\n"), result.stdout
 
 
 def test_package_import_loads_no_submodule():
     # listing the exports loads nothing either
     body = "import lightclock\nassert set(lightclock.__all__) <= set(dir(lightclock))"
-    run_child(body, [], [])
+    check_child(body, [], [])
 
 
 def test_first_use_loads_only_that_submodule():
     # a submodule stays reachable as an attribute, as when __init__ imported it
     body = "import lightclock\nassert lightclock.radar.simulate_ping is lightclock.simulate_ping"
-    run_child(body, [], ["lightclock.errors", "lightclock.radar"])
+    check_child(body, [], ["lightclock.errors", "lightclock.radar"])
 
 
 def test_submodule_is_an_attribute_of_the_bare_package():
     # the package hook imports a submodule named as an attribute, numpy not yet
     body = ("import lightclock\nassert lightclock.decay is sys.modules['lightclock.decay']\n"
             "assert lightclock.decay.BLOCK == 2 ** 17")
-    run_child(body, [], MODULE_IMPORTS["decay"])
+    check_child(body, [], MODULE_IMPORTS["decay"])
 
 
 # what importing each submodule loads of lightclock
@@ -142,12 +130,12 @@ MODULE_IMPORTS = {
 
 @pytest.mark.parametrize("module", MODULE_IMPORTS)
 def test_submodule_import_loads_none(module):
-    run_child(f"import lightclock.{module}", [], MODULE_IMPORTS[module])
+    check_child(f"import lightclock.{module}", [], MODULE_IMPORTS[module])
 
 
 @pytest.mark.parametrize("argv", LEAN_ARGVS.values(), ids=LEAN_ARGVS.keys())
 def test_lean_command_loads_neither(argv):
-    run_child(CLI_BODY.format(argv=argv), [], COMMAND_MODULES[argv[0]])
+    check_child(CLI_BODY.format(argv=argv), [], COMMAND_MODULES[argv[0]])
 
 
 # only derive loads both, when it certifies, through fractions
@@ -156,21 +144,21 @@ ENTRY_ARGVS = {**LEAN_ARGVS,
                "decay": ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1"]}
 
 
-def run_child_without(argv: list[str], unused: set) -> None:
+def check_child_without(argv: list[str], unused: set) -> None:
     body = CLI_BODY.format(argv=argv) + f"assert not {unused!r} & set(sys.modules)\n"
-    run_child(body, NUMPY if argv[0] == "decay" else [], COMMAND_MODULES[argv[0]])
+    check_child(body, NUMPY if argv[0] == "decay" else [], COMMAND_MODULES[argv[0]])
 
 
 @pytest.mark.parametrize("name", ["radar_json", "radar_csv", "velmap", "decay", "help",
                                   "version"])
 def test_start_up_loads_no_rationals(name):
-    run_child_without(ENTRY_ARGVS[name], RATIONALS)
+    check_child_without(ENTRY_ARGVS[name], RATIONALS)
 
 
 # only a JSON report loads json
 @pytest.mark.parametrize("name", ["radar_csv", "velmap", "decay", "help", "version"])
 def test_csv_output_loads_no_json(name):
-    run_child_without(ENTRY_ARGVS[name], {"json"})
+    check_child_without(ENTRY_ARGVS[name], {"json"})
 
 
 def test_refused_config_variable_is_not_read():
@@ -179,7 +167,7 @@ def test_refused_config_variable_is_not_read():
     body = ("import os\nos.environ['LIGHTCLOCK_CONFIG'] = 'cfg.json'\n"
             + CLI_BODY.format(argv=LEAN_ARGVS["radar_json"]).replace("== 0", "== 2")
             + "assert 'json' not in sys.modules\n")
-    run_child(body, [], PARSER)
+    check_child(body, [], PARSER)
 
 
 def test_certify_order_default_is_the_infinitesimals_one():
@@ -190,7 +178,7 @@ def test_certify_order_default_is_the_infinitesimals_one():
 
 def test_single_block_decay_loads_numpy_only():
     argv = ["decay", "--tau-s", "1", "--samples", "1000", "--seed", "1", "--workers", "2"]
-    run_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
+    check_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
 
 
 def test_decay_command_loads_both():
@@ -199,7 +187,7 @@ def test_decay_command_loads_both():
     # thread pool module
     argv = ["decay", "--tau-s", "1", "--samples", str(2 * BLOCK + 8), "--seed", "1",
             "--workers", "2"]
-    run_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
+    check_child(CLI_BODY.format(argv=argv), NUMPY, COMMAND_MODULES["decay"])
 
 
 def test_exports_are_the_submodules_names():
@@ -225,9 +213,9 @@ def test_unknown_attribute_raises():
 @pytest.mark.parametrize("argv", ENTRY_ARGVS.values(), ids=ENTRY_ARGVS.keys())
 def test_entry_loads_only_its_command_modules(argv):
     # the real entry, "python -m lightclock", with each first import logged
-    proc = run(["-X", "importtime", "-m", "lightclock", *argv])
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+    result = run_child(["-X", "importtime", "-m", "lightclock", *argv])
+    assert result.exit_code == 0, result.stderr
+    imported = {line.split("|")[-1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
     assert sorted(m for m in imported if m.startswith("lightclock.")) == \
         COMMAND_MODULES[argv[0]]

@@ -135,6 +135,9 @@ class TestRecord:
             cls(**kwargs, no_such_field=1)
         with pytest.raises(TypeError):
             cls(next(iter(kwargs.values())), **kwargs)
+        # every field by position and one again by keyword
+        with pytest.raises(TypeError, match="multiple values"):
+            cls(*kwargs.values(), **dict([next(iter(kwargs.items()))]))
 
     def test_pickle_round_trip(self, cls, kwargs, defaults, text):
         record = cls(**kwargs)
