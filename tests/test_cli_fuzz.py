@@ -26,7 +26,7 @@ FRACTION = st_.tuples(st_.integers(-50, 50), st_.integers(-50, 50)).map(
     lambda pq: f"{pq[0]}/{pq[1]}")
 # at cli.MAX_DIGITS: 4300 digits are read and 4301 refused, an exponent counted
 # as digits; 0e5000 is refused although it is 0, 1e4299 as beyond the float
-# range.  One draw in ten, since an exact chain on 4300 digits takes ~40 ms
+# range.  One draw in ten: an exact chain on 4300 digits takes ~40 ms (2-CPU Xeon)
 DIGIT_BOUND = st_.sampled_from(["1e-4299", "1e-4300", "0." + "3" * 4299, "0." + "3" * 4300,
                                 "0e5000", "1e4299"])
 COMMON_RATIONAL = st_.one_of(FLAG_TEXT, FRACTION)
