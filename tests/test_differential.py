@@ -31,7 +31,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from conftest import check_output, invoke_cli
+from conftest import DIGIT_TEXTS, check_output, invoke_cli
 
 from lightclock.cli import ENV_CONFIG
 
@@ -41,11 +41,6 @@ CASES_PER_COMMAND = 600
 COMMANDS = ("radar", "derive", "decay", "velmap")
 DIGIT_SEED = 20261021
 DIGIT_CASES = 40
-# a value's digits, an exponent counted as digits: 4300 are read, 4301 refused;
-# 0e5000 is refused although it is 0, and 1e4299 as beyond the float range
-DIGIT_TEXTS = ["1e-4299", "1e-4300", "-1e-4299", "0.5e-4298", "0.5e-4299", "0e5000",
-               "1e4299", "0." + "3" * 4299, "0." + "3" * 4300, "1/" + "7" * 4298,
-               "1/" + "7" * 4299]
 
 # texts for a float flag beyond its usual range, each valid or not
 ODD_FLOATS = ["0", "-0.0", "-1", "1", "2", "1e-9", "1e15", "1e16", "1e308", "-1e308",

@@ -15,6 +15,7 @@ from test_cli_golden import CASES
 from test_decay import GOLDEN_TAU3_M1E5_SEED42
 
 BLAS_THREADS = "OPENBLAS_NUM_THREADS"
+NO_BLAS = {BLAS_THREADS: None}  # so that the entry's own default is in force
 
 DECAY_CASES = [case for case in CASES if case[0][0] == "decay"]
 
@@ -35,7 +36,7 @@ print(code, gc.isenabled(), gc.get_freeze_count() > 0, os.environ.get({blas!r}))
 
 
 def probe(argv: list[str], **env: str | None) -> list[str]:
-    result = run_child(["-c", PROBE.format(argv=argv, blas=BLAS_THREADS)], **env)
+    result = run_child(["-c", PROBE.format(argv=argv, blas=BLAS_THREADS)], **{**NO_BLAS, **env})
     assert result.exit_code == 0, result.stderr
     return result.stdout.splitlines()[-1].split(" ")
 
@@ -47,13 +48,13 @@ def test_golden_decay_cases_are_read():
 @pytest.mark.parametrize("argv, exit_code, stdout", DECAY_CASES,
                          ids=[" ".join(argv) for argv, _, _ in DECAY_CASES])
 def test_decay_through_the_entry_is_pinned(argv, exit_code, stdout):
-    result = run_child(["-m", "lightclock", *argv])
+    result = run_child(["-m", "lightclock", *argv], **NO_BLAS)
     assert (result.exit_code, result.stdout) == (exit_code, stdout)
 
 
 def test_golden_mean_and_worker_identity_through_the_entry():
     base = ["decay", "--tau-s", "3", "--samples", "100000", "--seed", "42"]
-    one, two = (run_child(["-m", "lightclock", *base, "--workers", w]) for w in ("1", "2"))
+    one, two = (run_child(["-m", "lightclock", *base, "--workers", w], **NO_BLAS) for w in "12")
     assert one.exit_code == two.exit_code == 0
     assert one.stdout == two.stdout
     header, row = one.stdout.splitlines()
